@@ -55,17 +55,76 @@ def _clean(terms: dict) -> dict:
     return out
 
 
-class AlgebraElement:
-    """A finite rational combination of ordered forests."""
+class _Combination:
+    """A finite rational combination of hashable keys.
+
+    Subclasses say how two keys multiply (``_times``), where a term sorts
+    (``_order``) and how a term prints (``_show``).
+    """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[OrderedForest, Fraction] | None = None):
-        self.terms: dict[OrderedForest, Fraction] = _clean(terms or {})
+    def __init__(self, terms: dict | None = None):
+        self.terms: dict = _clean(terms or {})
 
     @classmethod
-    def zero(cls) -> "AlgebraElement":
+    def zero(cls):
         return cls()
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            out[key] = out.get(key, Fraction(0)) + c
+        return type(self)(out)
+
+    def __neg__(self):
+        return type(self)({key: -c for key, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, type(self)):
+            return _bilinear(self._times, self, other)
+        return type(self)({key: c * other for key, c in self.terms.items()})
+
+    def __rmul__(self, scalar):
+        return self * scalar
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, type(self)) and self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def sorted_terms(self) -> list:
+        return sorted(self.terms.items(), key=lambda item: self._order(item[0]))
+
+    def __repr__(self) -> str:
+        if self.is_zero:
+            return "0"
+        return " + ".join(self._show(key, c) for key, c in self.sorted_terms())
+
+
+def _bilinear(op, x: _Combination, y: _Combination) -> _Combination:
+    """Extend an operation on keys bilinearly; keys it maps to None drop."""
+    out: dict = {}
+    for key, c in x.terms.items():
+        for key2, d in y.terms.items():
+            res = op(key, key2)
+            if res is not None:
+                out[res] = out.get(res, Fraction(0)) + c * d
+    return type(x)(out)
+
+
+class AlgebraElement(_Combination):
+    """A finite rational combination of ordered forests."""
+
+    __slots__ = ()
 
     @classmethod
     def unit(cls) -> "AlgebraElement":
@@ -75,111 +134,40 @@ class AlgebraElement:
     def of(cls, forest: OrderedForest, coeff=1) -> "AlgebraElement":
         return cls({forest: Fraction(coeff)})
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
+    _times = staticmethod(concat)
 
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        out = dict(self.terms)
-        for f, c in other.terms.items():
-            out[f] = out.get(f, Fraction(0)) + c
-        return AlgebraElement(out)
+    @staticmethod
+    def _order(forest: OrderedForest) -> str:
+        return forest.text
 
-    def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement({f: -c for f, c in self.terms.items()})
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, AlgebraElement):
-            return product(self, other)
-        return AlgebraElement({f: c * other for f, c in self.terms.items()})
-
-    def __rmul__(self, scalar):
-        return self * scalar
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, AlgebraElement) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def sorted_terms(self) -> list[tuple[OrderedForest, Fraction]]:
-        return sorted(self.terms.items(), key=lambda item: item[0].text)
-
-    def __repr__(self) -> str:
-        if self.is_zero:
-            return "0"
-        bits = []
-        for f, c in self.sorted_terms():
-            bits.append("%s*%s" % (c, f.text))
-        return " + ".join(bits)
+    @staticmethod
+    def _show(forest: OrderedForest, c) -> str:
+        return "%s*%s" % (c, forest.text)
 
 
-class Tensor2Element:
+class Tensor2Element(_Combination):
     """A finite rational combination of forest pairs."""
 
-    __slots__ = ("terms",)
-
-    def __init__(
-        self,
-        terms: dict[tuple[OrderedForest, OrderedForest], Fraction] | None = None,
-    ):
-        self.terms = _clean(terms or {})
-
-    @classmethod
-    def zero(cls) -> "Tensor2Element":
-        return cls()
+    __slots__ = ()
 
     @classmethod
     def of(cls, left: OrderedForest, right: OrderedForest, coeff=1) -> "Tensor2Element":
         return cls({(left, right): Fraction(coeff)})
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
+    @staticmethod
+    def _times(p, q):
+        return concat(p[0], q[0]), concat(p[1], q[1])
 
-    def __add__(self, other: "Tensor2Element") -> "Tensor2Element":
-        out = dict(self.terms)
-        for pair, c in other.terms.items():
-            out[pair] = out.get(pair, Fraction(0)) + c
-        return Tensor2Element(out)
+    @staticmethod
+    def _order(pair):
+        """The whole-forest-extracted pair first, the untouched pair second,
+        then lexicographic on the printed pair."""
+        lea, roo = pair
+        return (not roo.is_empty, not lea.is_empty, lea.text, roo.text)
 
-    def __neg__(self) -> "Tensor2Element":
-        return Tensor2Element({p: -c for p, c in self.terms.items()})
-
-    def __sub__(self, other: "Tensor2Element") -> "Tensor2Element":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor2Element):
-            out: dict = {}
-            for (a, b), c in self.terms.items():
-                for (a2, b2), c2 in other.terms.items():
-                    pair = (concat(a, a2), concat(b, b2))
-                    out[pair] = out.get(pair, Fraction(0)) + c * c2
-            return Tensor2Element(out)
-        return Tensor2Element({p: c * other for p, c in self.terms.items()})
-
-    def __rmul__(self, scalar):
-        return self * scalar
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Tensor2Element) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def sorted_terms(self):
-        """Terms with the whole-forest-extracted pair first, the untouched
-        pair second, then lexicographic on the printed pair."""
-
-        def key(item):
-            (lea, roo), _ = item
-            return (not roo.is_empty, not lea.is_empty, lea.text, roo.text)
-
-        return sorted(self.terms.items(), key=key)
+    @staticmethod
+    def _show(pair, c) -> str:
+        return "%s*(%s (x) %s)" % (c, pair[0].text, pair[1].text)
 
     def map_legs(self, left=None, right=None) -> "Tensor2Element":
         """Apply forest-to-forest maps to the legs of every term."""
@@ -188,14 +176,6 @@ class Tensor2Element:
             pair = (left(a) if left else a, right(b) if right else b)
             out[pair] = out.get(pair, Fraction(0)) + c
         return Tensor2Element(out)
-
-    def __repr__(self) -> str:
-        if self.is_zero:
-            return "0"
-        bits = []
-        for (a, b), c in self.sorted_terms():
-            bits.append("%s*(%s (x) %s)" % (c, a.text, b.text))
-        return " + ".join(bits)
 
 
 def as_element(x) -> AlgebraElement:
@@ -208,13 +188,7 @@ def as_element(x) -> AlgebraElement:
 
 def product(a, b) -> AlgebraElement:
     """Bilinear extension of shifted concatenation."""
-    a, b = as_element(a), as_element(b)
-    out: dict = {}
-    for f, c in a.terms.items():
-        for g, d in b.terms.items():
-            h = concat(f, g)
-            out[h] = out.get(h, Fraction(0)) + c * d
-    return AlgebraElement(out)
+    return _bilinear(concat, as_element(a), as_element(b))
 
 
 def counit(x) -> Fraction:
@@ -298,26 +272,20 @@ Tensor3Terms = dict
 
 def expand_left(t2: Tensor2Element, variant: str = "full") -> Tensor3Terms:
     """Apply a coproduct variant to the left legs: terms (a', a'', b)."""
-    out: Tensor3Terms = {}
-    variant = _normalize_variant(variant)
-    for (a, b), c in t2.terms.items():
-        for (x, y), d in _forest_coproduct(a, variant).terms.items():
-            key = (x, y, b)
-            value = out.get(key, Fraction(0)) + c * d
-            if value:
-                out[key] = value
-            else:
-                out.pop(key, None)
-    return out
+    return _expand(t2, variant, "left")
 
 
 def expand_right(t2: Tensor2Element, variant: str = "full") -> Tensor3Terms:
     """Apply a coproduct variant to the right legs: terms (a, b', b'')."""
+    return _expand(t2, variant, "right")
+
+
+def _expand(t2: Tensor2Element, variant: str, side: str) -> Tensor3Terms:
     out: Tensor3Terms = {}
     variant = _normalize_variant(variant)
     for (a, b), c in t2.terms.items():
-        for (x, y), d in _forest_coproduct(b, variant).terms.items():
-            key = (a, x, y)
+        for (x, y), d in _forest_coproduct(a if side == "left" else b, variant).terms.items():
+            key = (x, y, b) if side == "left" else (a, x, y)
             value = out.get(key, Fraction(0)) + c * d
             if value:
                 out[key] = value

@@ -26,25 +26,11 @@ from .families import (
     generate_set,
     oracle_count_indexings,
 )
-from .forest import (
-    ForestSyntaxError,
-    concat,
-    lgraft_basis,
-    nwarrow,
-    parse_forest,
-    parse_plane_tree,
-    rgraft_basis,
-)
+from .forest import ForestSyntaxError, parse_forest, parse_plane_tree
+from .grafts import GRAFT_OPS, _basis_op
 from .series import series_coefficients, verify_against_enumeration
 
 COPRODUCT_CHOICES = ("full", "reduced", "left-root", "right-root", "prec", "succ")
-
-_OPS = {
-    "concat": concat,
-    "nwarrow": nwarrow,
-    "lgraft": lgraft_basis,
-    "rgraft": rgraft_basis,
-}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -77,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("forest")
 
     p = sub.add_parser("op", parents=[common], help="evaluate a binary operation")
-    p.add_argument("name", choices=tuple(_OPS))
+    p.add_argument("name", choices=GRAFT_OPS)
     p.add_argument("left")
     p.add_argument("right")
 
@@ -136,8 +122,10 @@ def _cmd_coproduct(ns: argparse.Namespace, as_json: bool) -> int:
 
 
 def _cmd_op(ns: argparse.Namespace, as_json: bool) -> int:
-    result = _OPS[ns.name](parse_forest(ns.left), parse_forest(ns.right))
-    _emit(as_json, result.text, [result.text])
+    result = _basis_op(ns.name)(parse_forest(ns.left), parse_forest(ns.right))
+    # a vanishing graft is the zero element, printed as the algebra prints it
+    text = "0" if result is None else result.text
+    _emit(as_json, text, [text])
     return 0
 
 

@@ -38,7 +38,6 @@ from .forest import (
     OrderedTree,
     PlaneTree,
     SINGLE_VERTEX,
-    _shift_tree,
     concat,
     rgraft_basis,
 )
@@ -104,25 +103,11 @@ def signature_of(forest: OrderedForest) -> str:
     """
     if forest.is_empty:
         raise NotInFamilyError("the empty forest has no signature")
-    letters = []
-    trees = forest.trees
-    for k in range(forest.degree, 1, -1):
-        if len(trees) == 1 and trees[0].label == k:
-            letters.append("-")
-            trees = trees[0].children
-            continue
-        last = trees[-1]
-        if last.label == k and not last.children:
-            letters.append("+")
-            trees = trees[:-1]
-            continue
-        kids = last.children
-        if kids and kids[-1].label == k:
-            letters.append("+")
-            trees = trees[:-1] + (OrderedTree(last.label, kids[:-1]),) + kids[-1].children
-            continue
+    n = forest.degree
+    letters = _peel_letters(_tuples(forest.trees), n)
+    if len(letters) < n - 1:
         raise NotInFamilyError(
-            "vertex %d is not removable in %s" % (k, forest.text)
+            "vertex %d is not removable in %s" % (n - len(letters), forest.text)
         )
     return "+" + "".join(reversed(letters))
 
@@ -210,66 +195,32 @@ def generate_set(
         for sig in _signatures_with_free_tail(n, tail):
             out |= _signature_set(sig)
         return frozenset(out)
-    if kind == "T":
-        return frozenset(OrderedForest((t,)) for t in _t_trees(n))
-    if kind == "Tplus":
-        return frozenset(OrderedForest((t,)) for t in _t_trees_oriented(n, "+"))
-    if kind == "Tminus":
-        return frozenset(OrderedForest((t,)) for t in _t_trees_oriented(n, "-"))
-    if kind == "Bl":
-        return frozenset(OrderedForest((t,)) for t in _bl_trees(n))
     if kind == "Br":
         return frozenset(f for f in _br_layer(n) if f.is_tree)
+    if kind in _TREE_FAMILIES:
+        return frozenset(OrderedForest((t,)) for t in _tree_layer(kind, n))
     raise ValueError("selector %r cannot be enumerated by degree" % selector)
 
 
-# --- the T family (and its one-sided halves) --------------------------------
+# --- the tree families T (and its one-sided halves) and Bl ------------------
+
+# For each tree family: the moves that may add its top label, and the family
+# whose words sit below that label.
+_TREE_FAMILIES = {
+    "T": ("+-", "T"),
+    "Tplus": ("+", "T"),
+    "Tminus": ("-", "T"),
+    "Bl": ("-", "Bl"),
+}
 
 
 @lru_cache(maxsize=None)
-def _t_words(n: int) -> frozenset[OrderedForest]:
-    if n == 0:
-        return frozenset({EMPTY_FOREST})
-    out: set[OrderedForest] = set()
-    for k in range(1, n + 1):
-        for tree in _t_trees(k):
-            head = OrderedForest((tree,))
-            for tail in _t_words(n - k):
-                out.add(concat(head, tail))
-    return frozenset(out)
-
-
-@lru_cache(maxsize=None)
-def _t_trees(n: int) -> frozenset[OrderedTree]:
-    return _t_trees_oriented(n, "+") | _t_trees_oriented(n, "-")
-
-
-@lru_cache(maxsize=None)
-def _t_trees_oriented(n: int, side: str) -> frozenset[OrderedTree]:
+def _tree_layer(kind: str, n: int) -> frozenset[OrderedTree]:
     if n == 1:
         return frozenset({OrderedTree(1)})
-    build = b_plus if side == "+" else b_minus
-    return frozenset(build(w) for w in _t_words(n - 1))
-
-
-@lru_cache(maxsize=None)
-def _bl_words(n: int) -> frozenset[OrderedForest]:
-    if n == 0:
-        return frozenset({EMPTY_FOREST})
-    out: set[OrderedForest] = set()
-    for k in range(1, n + 1):
-        for tree in _bl_trees(k):
-            head = OrderedForest((tree,))
-            for tail in _bl_words(n - k):
-                out.add(concat(head, tail))
-    return frozenset(out)
-
-
-@lru_cache(maxsize=None)
-def _bl_trees(n: int) -> frozenset[OrderedTree]:
-    if n == 1:
-        return frozenset({OrderedTree(1)})
-    return frozenset(b_minus(w) for w in _bl_words(n - 1))
+    top, below = _TREE_FAMILIES[kind]
+    build = {"+": b_plus, "-": b_minus}
+    return frozenset(build[move](w) for move in top for w in generate_words(below, n - 1))
 
 
 @lru_cache(maxsize=None)
@@ -309,82 +260,103 @@ def _words_over(selector: str, n: int) -> frozenset[OrderedForest]:
 
 
 # --- membership -------------------------------------------------------------
+#
+# The peels run on trees written as nested (label, children) tuples: the
+# oracle labels its shapes straight into that form, and a forest is
+# converted once on the way in.
 
-_T_MEMO: dict[OrderedTree, bool] = {}
-_BL_MEMO: dict[OrderedTree, bool] = {}
+
+def _tuples(trees: tuple[OrderedTree, ...]) -> tuple:
+    return tuple((t.label, _tuples(t.children)) for t in trees)
 
 
-def _is_t_tree(tree: OrderedTree) -> bool:
-    cached = _T_MEMO.get(tree)
-    if cached is not None:
-        return cached
-    n = tree.degree
-    if n == 1:
-        result = tree.label == 1
-    elif tree.label == n:
-        result = _blocks_all_t(tree.children)
-    else:
-        kids = tree.children
-        if kids and kids[-1].label == n:
-            head = OrderedTree(tree.label, kids[:-1])
-            result = _blocks_all_t((head,) + kids[-1].children)
+def _peel_letters(trees: tuple, n: int) -> list[str]:
+    """Remove the labels n, n-1, ..., 2 in turn, one letter per removal: "-"
+    unwraps a lone root, "+" drops a bare last tree or unhangs the last
+    child of the last root.  Stops at the first label no move removes, so
+    the forest lies in G exactly when n - 1 letters come back."""
+    letters = []
+    for k in range(n, 1, -1):
+        if len(trees) == 1 and trees[0][0] == k:
+            letters.append("-")
+            trees = trees[0][1]
+            continue
+        label, kids = trees[-1]
+        if label == k and not kids:
+            trees = trees[:-1]
+        elif kids and kids[-1][0] == k:
+            trees = trees[:-1] + ((label, kids[:-1]),) + kids[-1][1]
         else:
-            result = False
-    _T_MEMO[tree] = result
-    return result
+            break
+        letters.append("+")
+    return letters
 
 
-def _blocks_all_t(trees: tuple[OrderedTree, ...]) -> bool:
-    offset = 0
+def _span(t) -> tuple[int, int, int]:
+    size, mn, mx = 1, t[0], t[0]
+    for c in t[1]:
+        s, m, x = _span(c)
+        size += s
+        mn = min(mn, m)
+        mx = max(mx, x)
+    return size, mn, mx
+
+
+def _tree_accepts(t, offset: int, size: int, top: str, moves: str) -> bool:
+    """Peel the top label of a tree whose labels are offset+1..offset+size
+    by one of the ``top`` moves, then what is left as a word built by
+    ``moves``."""
+    if size == 1:
+        return True
+    label, kids = t
+    if label == offset + size:
+        return "-" in top and _word_accepts(kids, offset, moves)
+    if kids and kids[-1][0] == offset + size:
+        return "+" in top and _word_accepts(((label, kids[:-1]),) + kids[-1][1], offset, moves)
+    return False
+
+
+def _word_accepts(trees, offset: int, moves: str) -> bool:
+    """True when the trees carry consecutive label blocks from offset + 1 on
+    and each block peels down by ``moves``."""
     for t in trees:
-        d = t.degree
-        labels = list(t.labels())
-        if min(labels) != offset + 1 or max(labels) != offset + d:
+        size, mn, mx = _span(t)
+        if mn != offset + 1 or mx != offset + size:
             return False
-        if not _is_t_tree(_shift_tree(t, -offset)):
+        if not _tree_accepts(t, offset, size, moves, moves):
             return False
-        offset += d
+        offset += size
     return True
 
 
-def _is_bl_tree(tree: OrderedTree) -> bool:
-    cached = _BL_MEMO.get(tree)
-    if cached is not None:
-        return cached
-    n = tree.degree
-    if n == 1:
-        result = tree.label == 1
-    elif tree.label == n:
-        offset = 0
-        result = True
-        for t in tree.children:
-            d = t.degree
-            labels = list(t.labels())
-            if min(labels) != offset + 1 or max(labels) != offset + d:
-                result = False
-                break
-            if not _is_bl_tree(_shift_tree(t, -offset)):
-                result = False
-                break
-            offset += d
-    else:
-        result = False
-    _BL_MEMO[tree] = result
-    return result
+def _member(kind: str, i: int | None, trees: tuple, n: int) -> bool:
+    """Membership of a nonempty tuple forest of degree n (any forest for B)."""
+    if kind == "B":
+        return _word_accepts(trees, 0, "+-")
+    if kind in ("G", "Gi"):
+        letters = _peel_letters(trees, n)
+        # letters[j] removed label n - j; G<i> allows "-" only above n - i
+        return len(letters) == n - 1 and (kind == "G" or "-" not in letters[i:])
+    if len(trees) != 1:
+        return False
+    if kind == "Br":
+        if n > CLOSURE_MAX_DEGREE:
+            raise ValueError(
+                "Br membership is decided against the generated closure, degree <= %d"
+                % CLOSURE_MAX_DEGREE
+            )
+        return OrderedForest((_tree_of(trees[0]),)) in _br_layer(n)
+    top, below = _TREE_FAMILIES[kind]
+    return _tree_accepts(trees[0], 0, n, top, _TREE_FAMILIES[below][0])
+
+
+def _tree_of(t) -> OrderedTree:
+    return OrderedTree(t[0], tuple(_tree_of(c) for c in t[1]))
 
 
 def is_basis_forest(forest: OrderedForest) -> bool:
     """True when the forest is a word over T trees (the empty word counts)."""
-    offset = 0
-    for t in forest.trees:
-        d = t.degree
-        labels = list(t.labels())
-        if min(labels) != offset + 1 or max(labels) != offset + d:
-            return False
-        if not _is_t_tree(_shift_tree(t, -offset)):
-            return False
-        offset += d
-    return True
+    return _member("B", None, _tuples(forest.trees), forest.degree)
 
 
 def membership(selector: str, forest: OrderedForest) -> bool:
@@ -394,43 +366,9 @@ def membership(selector: str, forest: OrderedForest) -> bool:
     ``B`` accepts any word over T trees, including the empty forest.
     """
     kind, i = _parse_selector(selector)
-    if kind == "B":
-        return is_basis_forest(forest)
     if forest.is_empty:
-        return False
-    if kind in ("G", "Gi"):
-        try:
-            sig = signature_of(forest)
-        except NotInFamilyError:
-            return False
-        if kind == "G":
-            return True
-        plus_prefix = max(0, len(sig) - i)
-        return all(ch == "+" for ch in sig[:plus_prefix])
-    if not forest.is_tree:
-        return False
-    tree = forest.trees[0]
-    n = tree.degree
-    if kind == "T":
-        return _is_t_tree(tree)
-    if kind == "Tplus":
-        if n > 1 and not (tree.children and tree.children[-1].label == n):
-            return False
-        return _is_t_tree(tree)
-    if kind == "Tminus":
-        if n > 1 and tree.label != n:
-            return False
-        return _is_t_tree(tree)
-    if kind == "Bl":
-        return _is_bl_tree(tree)
-    if kind == "Br":
-        if n > CLOSURE_MAX_DEGREE:
-            raise ValueError(
-                "Br membership is decided against the generated closure, degree <= %d"
-                % CLOSURE_MAX_DEGREE
-            )
-        return forest in _br_layer(n)
-    raise ValueError("unknown family selector: %r" % selector)
+        return kind == "B"
+    return _member(kind, i, _tuples(forest.trees), forest.degree)
 
 
 # --- counting indexings of a shape ------------------------------------------
@@ -482,56 +420,6 @@ def _labelled_tuple(shape: PlaneTree, it):
     return (label, tuple(_labelled_tuple(c, it) for c in shape.children))
 
 
-def _g_accepts(trees: tuple, n: int) -> bool:
-    for k in range(n, 1, -1):
-        if len(trees) == 1 and trees[0][0] == k:
-            trees = trees[0][1]
-            continue
-        label, kids = trees[-1]
-        if label == k and not kids:
-            trees = trees[:-1]
-            continue
-        if kids and kids[-1][0] == k:
-            trees = trees[:-1] + ((label, kids[:-1]),) + kids[-1][1]
-            continue
-        return False
-    return True
-
-
-def _span(t) -> tuple[int, int, int]:
-    size, mn, mx = 1, t[0], t[0]
-    for c in t[1]:
-        s, m, x = _span(c)
-        size += s
-        mn = min(mn, m)
-        mx = max(mx, x)
-    return size, mn, mx
-
-
-def _t_accepts(t, offset: int, size: int) -> bool:
-    # caller guarantees the labels of t are exactly offset+1..offset+size
-    if size == 1:
-        return True
-    label, kids = t
-    if label == offset + size:
-        return _t_word_accepts(kids, offset)
-    if kids and kids[-1][0] == offset + size:
-        head = (label, kids[:-1])
-        return _t_word_accepts((head,) + kids[-1][1], offset)
-    return False
-
-
-def _t_word_accepts(trees, offset: int) -> bool:
-    for t in trees:
-        size, mn, mx = _span(t)
-        if mn != offset + 1 or mx != offset + size:
-            return False
-        if not _t_accepts(t, offset, size):
-            return False
-        offset += size
-    return True
-
-
 def oracle_count_indexings(shape: PlaneTree, family: str = "G") -> int:
     """Brute force over all n! labellings of the shape.
 
@@ -541,24 +429,10 @@ def oracle_count_indexings(shape: PlaneTree, family: str = "G") -> int:
     n = shape.degree
     if n > ENUMERATION_MAX_DEGREE:
         raise ValueError("oracle is limited to degree <= %d" % ENUMERATION_MAX_DEGREE)
+    kind, i = _parse_selector(family)
     count = 0
-    if family == "G":
-        for perm in itertools.permutations(range(1, n + 1)):
-            if _g_accepts((_labelled_tuple(shape, iter(perm)),), n):
-                count += 1
-        return count
-    if family == "T":
-        for perm in itertools.permutations(range(1, n + 1)):
-            if _t_accepts(_labelled_tuple(shape, iter(perm)), 0, n):
-                count += 1
-        return count
-
-    def to_tree(t) -> OrderedTree:
-        return OrderedTree(t[0], tuple(to_tree(c) for c in t[1]))
-
     for perm in itertools.permutations(range(1, n + 1)):
-        tree = to_tree(_labelled_tuple(shape, iter(perm)))
-        if membership(family, OrderedForest((tree,))):
+        if _member(kind, i, (_labelled_tuple(shape, iter(perm)),), n):
             count += 1
     return count
 

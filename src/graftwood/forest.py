@@ -244,24 +244,6 @@ def concat(left: OrderedForest, right: OrderedForest) -> OrderedForest:
     return OrderedForest(left.trees + shift_forest(right, left.degree).trees)
 
 
-def block_factors(forest: OrderedForest) -> list[OrderedTree] | None:
-    """Split into standardized tree factors if the labels come in blocks.
-
-    Returns None unless the i-th tree carries exactly the labels
-    ``offset+1 .. offset+degree`` (consecutive blocks left to right).
-    """
-    out = []
-    offset = 0
-    for t in forest.trees:
-        d = t.degree
-        labels = list(t.labels())
-        if min(labels) != offset + 1 or max(labels) != offset + d:
-            return None
-        out.append(_shift_tree(t, -offset))
-        offset += d
-    return out
-
-
 def root_labels(forest: OrderedForest) -> tuple[int, ...]:
     return tuple(t.label for t in forest.trees)
 

@@ -9,18 +9,19 @@ vanish on one unit argument and are undefined on two.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .algebra import (
     AlgebraElement,
     Tensor2Element,
+    _bilinear,
     as_element,
     coproduct,
     expand_left,
     expand_right,
     product,
 )
+from .families import CLOSURE_MAX_DEGREE
 from .forest import (
     EMPTY_FOREST,
     OrderedForest,
@@ -57,29 +58,15 @@ def _basis_op(name: str):
         raise ValueError("unknown graft operation: %r" % name) from None
 
 
-def _bilinear(op):
-    def apply(x, y) -> AlgebraElement:
-        out: dict = {}
-        for f, c in as_element(x).terms.items():
-            for g, d in as_element(y).terms.items():
-                h = op(f, g)
-                if h is None:
-                    continue
-                out[h] = out.get(h, Fraction(0)) + c * d
-        return AlgebraElement(out)
-
-    return apply
-
-
 def lgraft(x, y) -> AlgebraElement:
     """Left graft, extended bilinearly; one empty side vanishes or passes
     through per the basis rules, two empty sides raise."""
-    return _bilinear(lgraft_basis)(x, y)
+    return _bilinear(lgraft_basis, as_element(x), as_element(y))
 
 
 def rgraft(x, y) -> AlgebraElement:
     """Right graft, extended bilinearly (mirror conventions of lgraft)."""
-    return _bilinear(rgraft_basis)(x, y)
+    return _bilinear(rgraft_basis, as_element(x), as_element(y))
 
 
 def tensor_graft(op: str, x: Tensor2Element, y: Tensor2Element) -> Tensor2Element:
@@ -87,21 +74,16 @@ def tensor_graft(op: str, x: Tensor2Element, y: Tensor2Element) -> Tensor2Elemen
     operation lands in the left leg, otherwise the left legs multiply and
     the operation lands in the right leg.  Vanishing applications drop."""
     basis = _basis_op(op)
-    out: dict = {}
-    for (a, b), c in x.terms.items():
-        for (a2, b2), d in y.terms.items():
-            if b.is_empty and b2.is_empty:
-                res = basis(a, a2)
-                if res is None:
-                    continue
-                pair = (res, EMPTY_FOREST)
-            else:
-                res = basis(b, b2)
-                if res is None:
-                    continue
-                pair = (concat(a, a2), res)
-            out[pair] = out.get(pair, Fraction(0)) + c * d
-    return Tensor2Element(out)
+
+    def on_pairs(p, q):
+        (a, b), (a2, b2) = p, q
+        if b.is_empty and b2.is_empty:
+            res = basis(a, a2)
+            return None if res is None else (res, EMPTY_FOREST)
+        res = basis(b, b2)
+        return None if res is None else (concat(a, a2), res)
+
+    return _bilinear(on_pairs, x, y)
 
 
 # --- identity checkers -------------------------------------------------------
@@ -169,9 +151,9 @@ def _e4prec(x, y):
     rhs = rhs + prec_y.map_legs(right=lambda f: nwarrow(x, f))
     rhs = rhs + prec_x.map_legs(left=lambda f: nwarrow(f, y))
     rhs = rhs + succ_x.map_legs(left=lambda f: concat(f, y))
-    for (a, b), c in succ_x.terms.items():
-        for (a2, b2), d in prec_y.terms.items():
-            rhs = rhs + Tensor2Element.of(concat(a, a2), nwarrow(b, b2), c * d)
+    # the right legs of the reduced halves are never empty, so the tensor
+    # graft concatenates the left legs and nwarrows the right ones
+    rhs = rhs + tensor_graft("nwarrow", succ_x, prec_y)
     return lhs == rhs
 
 
@@ -181,9 +163,7 @@ def _e4succ(x, y):
     succ_y = coproduct(y, "succRed")
     rhs = succ_y.map_legs(right=lambda f: nwarrow(x, f))
     rhs = rhs + succ_x.map_legs(right=lambda f: nwarrow(f, y))
-    for (a, b), c in succ_x.terms.items():
-        for (a2, b2), d in succ_y.terms.items():
-            rhs = rhs + Tensor2Element.of(concat(a, a2), nwarrow(b, b2), c * d)
+    rhs = rhs + tensor_graft("nwarrow", succ_x, succ_y)
     return lhs == rhs
 
 
@@ -254,9 +234,6 @@ def check_identity(name: str, args: Sequence[OrderedForest]) -> bool:
     if len(args) != arity:
         raise ValueError("%s takes %d argument(s), got %d" % (name, arity, len(args)))
     return fn(*args)
-
-
-CLOSURE_MAX_DEGREE = 7
 
 
 def generate_closure(ops: Iterable[str], max_degree: int) -> frozenset[OrderedForest]:

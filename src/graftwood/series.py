@@ -40,15 +40,7 @@ SERIES_IDS = (
     "D_dims",
 )
 
-_PLAIN = {
-    "Binfty_forests",
-    "Binfty_trees",
-    "B0_trees",
-    "B0_forests",
-    "B_trees",
-    "B_forests",
-    "D_dims",
-}
+_PLAIN = frozenset(s for s in SERIES_IDS if "(" not in s)
 
 _PARAMETRIZED = re.compile(r"^(Binfty_length|Bi_trees|Bi_forests)\((\d+)\)$")
 

@@ -1,9 +1,14 @@
 """Golden-file tests for the command line: known inputs, byte-exact output."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import graftwood
 from graftwood.cli import execute, main
 
 
@@ -63,6 +68,8 @@ OP_GOLDEN = [
     (["op", "nwarrow", "1 2 3", "1[2]"], "1 2 5[3[4]]"),
     (["op", "nwarrow", "2[1]", "2[1]"], "4[3[2[1]]]"),
     (["op", "concat", "1[2]", "1 4[2 3]"], "1[2] 3 6[4 5]"),
+    (["op", "rgraft", "()", "1"], "0"),
+    (["op", "lgraft", "1", "()"], "0"),
 ]
 
 
@@ -78,6 +85,9 @@ def test_op_json_is_a_format_string(run):
     code, out, _ = run(["--json", "op", "rgraft", "1[2]", "1[2]"])
     assert code == 0
     assert json.loads(out) == "1[2 4[3]]"
+    code, out, _ = run(["--json", "op", "lgraft", "1", "()"])
+    assert code == 0
+    assert json.loads(out) == "0"
 
 
 # --- coproduct ---------------------------------------------------------------
@@ -230,6 +240,21 @@ def test_execute_is_deterministic(run):
     second = run(argv)
     assert first == second
     assert first[0] == 0
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(graftwood.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "graftwood", "enumerate", "--set", "G", "--degree", "2"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1 2\n1[2]\n2[1]\n"
 
 
 def test_main_raises_system_exit():

@@ -368,6 +368,13 @@ def test_oracle_generic_path_agrees():
     assert oracle_count_indexings(shape, "Tminus") == sum(
         1 for f in generate_set("Tminus", 4) if shape_of(f)[0] == shape
     )
+    # every family against its own enumeration, shape by shape
+    for n in range(1, 6):
+        for family in ("G", "G0", "G1", "G2", "T", "Tplus", "Tminus", "Bl", "Br"):
+            trees = [f for f in generate_set(family, n) if f.is_tree]
+            for shape in all_shapes(n):
+                expected = sum(1 for f in trees if shape_of(f)[0] == shape)
+                assert oracle_count_indexings(shape, family) == expected, (str(shape), family)
     with pytest.raises(ValueError):
         oracle_count_indexings(PlaneTree((PlaneTree(),) * 8), "G")
 

@@ -12,7 +12,6 @@ from graftwood.forest import (
     OrderedTree,
     admissible_cuts,
     ancestor_map,
-    block_factors,
     concat,
     cut_split,
     format_forest,
@@ -182,21 +181,13 @@ def test_ancestor_map():
     assert anc[3] == {2}
 
 
-# --- concatenation and blocks ---------------------------------------------
+# --- concatenation --------------------------------------------------------
 
 
 def test_concat_shifts_right_factor():
     a, b = parse_forest("1[2]"), parse_forest("2[1]")
     assert concat(a, b).text == "1[2] 4[3]"
     assert concat(EMPTY_FOREST, a) is a and concat(a, EMPTY_FOREST) is a
-
-
-def test_block_factors():
-    assert [t.degree for t in block_factors(parse_forest("1[2] 3"))] == [2, 1]
-    assert [str(t) for t in block_factors(parse_forest("2[1] 3"))] == ["2[1]", "1"]
-    assert [str(t) for t in block_factors(parse_forest("1 3[2]"))] == ["1", "2[1]"]
-    assert block_factors(parse_forest("2 1[3]")) is None
-    assert block_factors(EMPTY_FOREST) == []
 
 
 def test_rightmost_leaf():
