@@ -9,9 +9,7 @@ library guards) with ``max_degree`` or the GRAFTWOOD_MAX_DEGREE variable.
 
 from __future__ import annotations
 
-import itertools
 import os
-from functools import lru_cache
 
 from .algebra import (
     AlgebraElement,
@@ -21,57 +19,32 @@ from .algebra import (
     counit,
     expand_left,
     expand_right,
-    prim_tot_dimension,
     product,
 )
 from .families import (
+    ENUMERATION_MAX_DEGREE,
     canonical_signature,
     count_indexings,
     generate_set,
     generate_words,
-    is_basis_forest,
     ladders,
     membership,
     oracle_count_indexings,
     signature_of,
 )
-from .forest import EMPTY_FOREST, OrderedForest, PlaneTree, concat
+from .forest import OrderedForest, PlaneTree
 from .grafts import check_identity, generate_closure
-from .series import series_coefficients, verify_against_enumeration
+from .series import _ceiling, series_coefficients, verify_against_enumeration
 
 __all__ = ["SUITES", "DEGREE_ENV_VAR", "resolve_degree", "run_suite"]
 
-SUITES = (
-    "hopf",
-    "duplicial",
-    "dendriform",
-    "leftgraft",
-    "rightgraft",
-    "bigraft",
-    "counts",
-    "primtot",
-    "closure",
-)
-
 DEGREE_ENV_VAR = "GRAFTWOOD_MAX_DEGREE"
-
-_DEFAULT_DEGREE = {
-    "hopf": 6,
-    "duplicial": 6,
-    "dendriform": 5,
-    "leftgraft": 6,
-    "rightgraft": 6,
-    "bigraft": 6,
-    "counts": 8,
-    "primtot": 5,
-    "closure": 6,
-}
 
 
 def resolve_degree(suite: str, max_degree: int | None = None) -> int:
     """Effective bound for a suite: explicit argument, then the environment
     override, then the per-suite default."""
-    if suite not in _DEFAULT_DEGREE:
+    if suite not in _SUITES:
         raise ValueError("unknown suite %r (expected one of: %s)" % (suite, ", ".join(SUITES)))
     if max_degree is None:
         raw = os.environ.get(DEGREE_ENV_VAR)
@@ -81,13 +54,23 @@ def resolve_degree(suite: str, max_degree: int | None = None) -> int:
             except ValueError:
                 raise ValueError("%s must be an integer, got %r" % (DEGREE_ENV_VAR, raw))
     if max_degree is None:
-        return _DEFAULT_DEGREE[suite]
+        return _SUITES[suite][0]
     if max_degree < 1:
         raise ValueError("max degree must be positive")
     return max_degree
 
 
-# --- shared universes -----------------------------------------------------------
+# --- rows and shared universes ----------------------------------------------------
+
+
+def _row(label: str, failures: list, passed: str, failed: str = "%s", cases=None) -> dict:
+    """One suite row, ok when nothing failed.  The detail is ``passed``, or
+    else ``failed`` filled in with the first failure, preceded by the number
+    of failures and of ``cases`` when that is given."""
+    if not failures:
+        return {"label": label, "ok": True, "detail": passed}
+    args = failures[0] if cases is None else (len(failures), cases, failures[0])
+    return {"label": label, "ok": False, "detail": failed % args}
 
 
 def _words(selector: str, max_total: int) -> list[OrderedForest]:
@@ -97,174 +80,112 @@ def _words(selector: str, max_total: int) -> list[OrderedForest]:
     return out
 
 
-def _pairs(max_total: int):
-    singles = _words("T", max_total - 1)
-    for x, y in itertools.product(singles, repeat=2):
-        if x.degree + y.degree <= max_total:
-            yield x, y
+def _universe(arity: int, max_total: int) -> list[tuple[OrderedForest, ...]]:
+    """Every tuple of ``arity`` T-words whose degrees sum to at most
+    max_total, in lexicographic order of the word lists."""
+    if arity == 0:
+        return [()]
+    return [
+        (f,) + rest
+        for f in _words("T", max_total - arity + 1)
+        for rest in _universe(arity - 1, max_total - f.degree)
+    ]
 
 
-def _triples(max_total: int):
-    singles = _words("T", max_total - 2)
-    for x, y, z in itertools.product(singles, repeat=3):
-        if x.degree + y.degree + z.degree <= max_total:
-            yield x, y, z
+def _sweep(*groups):
+    """A suite of identity rows: each group pairs an arity with the names of
+    the identities checked on every tuple of that arity."""
+
+    def run(n: int) -> list[dict]:
+        rows = []
+        for arity, names in groups:
+            cases = _universe(arity, n)
+            for name in names:
+                failures = [
+                    "(%s)" % ", ".join(f.text for f in args)
+                    for args in cases
+                    if not check_identity(name, list(args))
+                ]
+                passed = "%d cases" % len(cases)
+                failed = "%d of %d cases fail, e.g. %s"
+                rows.append(_row(name, failures, passed, failed, len(cases)))
+        return rows
+
+    return run
 
 
-def _identity_row(name: str, universe) -> dict:
-    checked = 0
-    failures = []
-    for args in universe:
-        checked += 1
-        if not check_identity(name, list(args)):
-            failures.append("(%s)" % ", ".join(f.text for f in args))
-    if failures:
-        detail = "%d of %d cases fail, e.g. %s" % (len(failures), checked, failures[0])
-    else:
-        detail = "%d cases" % checked
-    return {"label": name, "ok": not failures, "detail": detail}
-
-
-def _sweep(names, universe_factory) -> list[dict]:
-    return [_identity_row(name, universe_factory()) for name in names]
-
-
-# --- family bases for the coproduct-closure rows ---------------------------------
-
-
-@lru_cache(maxsize=None)
-def _product_basis_layers(n_max: int) -> tuple[frozenset, ...]:
-    """Degree layers of the span generated by the signature forests under
-    the shifted concatenation product."""
-    layers: list[frozenset] = [frozenset({EMPTY_FOREST})]
-    for d in range(1, n_max + 1):
-        layer = set(generate_set("G", d))
-        for k in range(1, d):
-            for g in generate_set("G", k):
-                for w in layers[d - k]:
-                    layer.add(concat(g, w))
-        layers.append(frozenset(layer))
-    return tuple(layers)
-
-
-@lru_cache(maxsize=None)
-def _word_layers(selector: str, n_max: int) -> tuple[frozenset, ...]:
-    return tuple(
-        frozenset({EMPTY_FOREST}) if d == 0 else generate_words(selector, d)
-        for d in range(n_max + 1)
-    )
-
-
-def _in_layers(layers, f: OrderedForest) -> bool:
-    return f.degree < len(layers) and f in layers[f.degree]
-
-
-def _closure_row(label: str, basis, member) -> dict:
-    checked = 0
+def _leaks(basis, keeps, variant: str = "full") -> list[str]:
+    """The basis forests with a coproduct term outside ``keeps``, each shown
+    with its first such term."""
     failures = []
     for f in basis:
-        checked += 1
-        for (lea, roo), _ in coproduct(f).terms.items():
-            if not (member(lea) and member(roo)):
+        for lea, roo in coproduct(f, variant).terms:
+            if not keeps(lea, roo):
                 failures.append("%s -> (%s, %s)" % (f.text, lea.text, roo.text))
                 break
-    if failures:
-        detail = "%d of %d forests leak, e.g. %s" % (len(failures), checked, failures[0])
-    else:
-        detail = "%d forests, all factors stay inside" % checked
-    return {"label": label, "ok": not failures, "detail": detail}
+    return failures
+
+
+def _is_word(selector: str):
+    return lambda f: f in generate_words(selector, f.degree)
 
 
 # --- suites -----------------------------------------------------------------------
+
+
+def _coassociative(f: OrderedForest) -> bool:
+    return expand_left(coproduct(f)) == expand_right(coproduct(f))
+
+
+def _counit_law(f: OrderedForest) -> bool:
+    lhs = AlgebraElement.zero()
+    rhs = AlgebraElement.zero()
+    for (a, b), c in coproduct(f).terms.items():
+        lhs = lhs + AlgebraElement.of(b) * (counit(a) * c)
+        rhs = rhs + AlgebraElement.of(a) * (counit(b) * c)
+    return lhs == rhs == AlgebraElement.of(f)
+
+
+def _antipode_law(f: OrderedForest, max_degree: int) -> bool:
+    lhs = AlgebraElement.zero()
+    rhs = AlgebraElement.zero()
+    for (a, b), c in coproduct(f).terms.items():
+        lhs = lhs + product(antipode(a, max_degree=max_degree), b) * c
+        rhs = rhs + product(a, antipode(b, max_degree=max_degree)) * c
+    expected = AlgebraElement.unit() * counit(f)
+    return lhs == expected and rhs == expected
 
 
 def _suite_hopf(n: int) -> list[dict]:
     rows = []
     small = min(n, 5)
     words = _words("T", small)
+    moves = _words("T", min(n, 4))
+    for label, forests, law, passed in (
+        ("coassociativity", words, _coassociative, "%%d forests, degrees 1..%d" % small),
+        ("counit", words, _counit_law, "%d forests"),
+        ("antipode", words, lambda f: _antipode_law(f, small), "%d forests"),
+        ("append-move-compatibility", moves, check_b_operator_coproduct, "%d forests"),
+    ):
+        bad = [f.text for f in forests if not law(f)]
+        rows.append(_row(label, bad, passed % len(forests), "fails on %s"))
 
-    bad = [f.text for f in words if expand_left(coproduct(f)) != expand_right(coproduct(f))]
-    rows.append(
-        {
-            "label": "coassociativity",
-            "ok": not bad,
-            "detail": ("fails on %s" % bad[0]) if bad else "%d forests, degrees 1..%d" % (len(words), small),
-        }
-    )
-
-    bad = []
-    for f in words:
-        lhs = AlgebraElement.zero()
-        rhs = AlgebraElement.zero()
-        for (a, b), c in coproduct(f).terms.items():
-            lhs = lhs + AlgebraElement.of(b) * (counit(a) * c)
-            rhs = rhs + AlgebraElement.of(a) * (counit(b) * c)
-        if not (lhs == rhs == AlgebraElement.of(f)):
-            bad.append(f.text)
-    rows.append(
-        {
-            "label": "counit",
-            "ok": not bad,
-            "detail": ("fails on %s" % bad[0]) if bad else "%d forests" % len(words),
-        }
-    )
-
-    bad = []
-    for f in words:
-        lhs = AlgebraElement.zero()
-        rhs = AlgebraElement.zero()
-        for (a, b), c in coproduct(f).terms.items():
-            lhs = lhs + product(antipode(a, max_degree=small), b) * c
-            rhs = rhs + product(a, antipode(b, max_degree=small)) * c
-        expected = AlgebraElement.unit() * counit(f)
-        if not (lhs == expected and rhs == expected):
-            bad.append(f.text)
-    rows.append(
-        {
-            "label": "antipode",
-            "ok": not bad,
-            "detail": ("fails on %s" % bad[0]) if bad else "%d forests" % len(words),
-        }
-    )
-
-    move_words = _words("T", min(n, 4))
-    bad = [f.text for f in move_words if not check_b_operator_coproduct(f)]
-    rows.append(
-        {
-            "label": "append-move-compatibility",
-            "ok": not bad,
-            "detail": ("fails on %s" % bad[0]) if bad else "%d forests" % len(move_words),
-        }
-    )
-
+    # Products of signature forests are the words over G trees (equal layer
+    # by layer through degree 6, this row's cap); "word-basis" is B.
     deg = min(n, 6)
-    layers = _product_basis_layers(deg)
-    basis = [f for d in range(1, deg + 1) for f in sorted(layers[d], key=lambda x: x.text)]
-    rows.append(
-        _closure_row(
-            "factor-closure-signature-products",
-            basis,
-            lambda f: _in_layers(layers, f),
-        )
-    )
-
-    rows.append(
-        _closure_row(
-            "factor-closure-word-basis",
-            _words("T", deg),
-            is_basis_forest,
-        )
-    )
-
-    for i in (1, 2, 3):
-        layer_i = _word_layers("G%d" % i, deg)
-        rows.append(
-            _closure_row(
-                "factor-closure-layer-%d" % i,
-                _words("G%d" % i, deg),
-                lambda f, L=layer_i: _in_layers(L, f),
-            )
-        )
+    for label, selector in (
+        ("signature-products", "G"),
+        ("word-basis", "T"),
+        ("layer-1", "G1"),
+        ("layer-2", "G2"),
+        ("layer-3", "G3"),
+    ):
+        basis = _words(selector, deg)
+        word = _is_word(selector)
+        failures = _leaks(basis, lambda lea, roo: word(lea) and word(roo))
+        passed = "%d forests, all factors stay inside" % len(basis)
+        failed = "%d of %d forests leak, e.g. %s"
+        rows.append(_row("factor-closure-" + label, failures, passed, failed, len(basis)))
 
     # On single trees the branch legs of the reduced coproduct drop one
     # layer while the trunk stays put.  The first layer has no room to drop
@@ -272,83 +193,46 @@ def _suite_hopf(n: int) -> list[dict]:
     # multiplicative forces whole factors into either leg, so neither of
     # those variants is asserted.
     for i in (2, 3):
-        branch = _word_layers("G%d" % (i - 1), deg)
-        checked = 0
-        failures = []
-        for d in range(1, deg + 1):
-            for f in sorted(generate_set("G%d" % i, d), key=lambda x: x.text):
-                if not f.is_tree:
-                    continue
-                checked += 1
-                for (lea, roo), _ in coproduct(f, "reduced").terms.items():
-                    if not (
-                        _in_layers(branch, lea)
-                        and roo.is_tree
-                        and membership("G%d" % i, roo)
-                    ):
-                        failures.append("%s -> (%s, %s)" % (f.text, lea.text, roo.text))
-                        break
-        rows.append(
-            {
-                "label": "branch-refinement-layer-%d" % i,
-                "ok": not failures,
-                "detail": (
-                    "%d of %d trees leak, e.g. %s" % (len(failures), checked, failures[0])
-                )
-                if failures
-                else "%d trees, branches drop a layer" % checked,
-            }
+        layer, branch = "G%d" % i, _is_word("G%d" % (i - 1))
+        trees = [
+            f
+            for d in range(1, deg + 1)
+            for f in sorted(generate_set(layer, d), key=lambda x: x.text)
+            if f.is_tree
+        ]
+        failures = _leaks(
+            trees,
+            lambda lea, roo: branch(lea) and roo.is_tree and membership(layer, roo),
+            "reduced",
         )
+        passed = "%d trees, branches drop a layer" % len(trees)
+        failed = "%d of %d trees leak, e.g. %s"
+        rows.append(_row("branch-refinement-layer-%d" % i, failures, passed, failed, len(trees)))
     return rows
-
-
-def _suite_duplicial(n: int) -> list[dict]:
-    return _sweep(("E1a", "E1b", "E1c"), lambda: _triples(n))
-
-
-def _suite_dendriform(n: int) -> list[dict]:
-    rows = _sweep(("E2a", "E2b", "E2c"), lambda: ((f,) for f in _words("T", n)))
-    rows += _sweep(
-        ("E3prec", "E3succ", "E4prec", "E4succ", "DELTASUCC", "DELTAPREC"),
-        lambda: _pairs(n),
-    )
-    return rows
-
-
-def _suite_leftgraft(n: int) -> list[dict]:
-    return _sweep(("LGa", "LGb"), lambda: _triples(n))
-
-
-def _suite_rightgraft(n: int) -> list[dict]:
-    return _sweep(("RGa", "RGb"), lambda: _triples(n))
-
-
-def _suite_bigraft(n: int) -> list[dict]:
-    return _sweep(("BIGRAFT",), lambda: _triples(n))
 
 
 _COUNT_TABLES = (
-    ("Binfty_trees", 8),
-    ("Binfty_forests", 8),
-    ("Binfty_length(1)", 8),
-    ("Binfty_length(2)", 8),
-    ("Binfty_length(3)", 8),
-    ("B0_trees", 8),
-    ("B0_forests", 8),
-    ("Bi_trees(1)", 8),
-    ("Bi_forests(1)", 8),
-    ("Bi_trees(2)", 8),
-    ("Bi_forests(2)", 8),
-    ("Bi_trees(3)", 8),
-    ("Bi_forests(3)", 8),
-    ("Bi_trees(4)", 8),
-    ("Bi_forests(4)", 8),
-    ("Bi_trees(5)", 8),
-    ("Bi_forests(5)", 8),
-    ("Bi_trees(6)", 8),
-    ("Bi_forests(6)", 8),
-    ("B_trees", 7),
-    ("B_forests", 7),
+    "Binfty_trees",
+    "Binfty_forests",
+    "Binfty_length(1)",
+    "Binfty_length(2)",
+    "Binfty_length(3)",
+    "B0_trees",
+    "B0_forests",
+    "Bi_trees(1)",
+    "Bi_forests(1)",
+    "Bi_trees(2)",
+    "Bi_forests(2)",
+    "Bi_trees(3)",
+    "Bi_forests(3)",
+    "Bi_trees(4)",
+    "Bi_forests(4)",
+    "Bi_trees(5)",
+    "Bi_forests(5)",
+    "Bi_trees(6)",
+    "Bi_forests(6)",
+    "B_trees",
+    "B_forests",
 )
 
 
@@ -374,23 +258,17 @@ def _shape_forests(m: int):
 
 def _suite_counts(n: int) -> list[dict]:
     rows = []
-    for series_id, cap in _COUNT_TABLES:
-        deg = min(n, cap)
+    for series_id in _COUNT_TABLES:
+        deg = min(n, _ceiling(series_id))
         report = verify_against_enumeration(series_id, deg)
-        bad = [r for r in report["rows"] if not r["match"]]
-        rows.append(
-            {
-                "label": "table-%s" % series_id,
-                "ok": report["ok"],
-                "detail": (
-                    "degree %d expected %d, enumerated %d" % (bad[0]["degree"], bad[0]["expected"], bad[0]["enumerated"])
-                )
-                if bad
-                else "degrees 1..%d agree" % deg,
-            }
-        )
+        bad = [
+            "degree %(degree)d expected %(expected)d, enumerated %(enumerated)d" % r
+            for r in report["rows"]
+            if not r["match"]
+        ]
+        rows.append(_row("table-" + series_id, bad, "degrees 1..%d agree" % deg))
 
-    deg = min(n, 8)
+    deg = min(n, ENUMERATION_MAX_DEGREE)
     failures = []
     for k in range(1, deg + 1):
         chains = ladders(k)
@@ -408,34 +286,22 @@ def _suite_counts(n: int) -> list[dict]:
             and sigs == expected_sigs
         ):
             failures.append("degree %d" % k)
-    rows.append(
-        {
-            "label": "chain-census",
-            "ok": not failures,
-            "detail": failures[0] if failures else "degrees 1..%d, one chain per signature" % deg,
-        }
-    )
+    rows.append(_row("chain-census", failures, "degrees 1..%d, one chain per signature" % deg))
 
-    deg = min(n, 6)
-    checked = 0
-    failures = []
-    for k in range(1, deg + 1):
-        for shape in _all_shapes(k):
-            for family in ("G", "T"):
-                checked += 1
-                if count_indexings(shape, family) != oracle_count_indexings(shape, family):
-                    failures.append("%s in %s" % (shape, family))
-    rows.append(
-        {
-            "label": "indexing-counts",
-            "ok": not failures,
-            "detail": (
-                "%d of %d cases disagree, e.g. %s" % (len(failures), checked, failures[0])
-            )
-            if failures
-            else "%d shape/family cases match the oracle" % checked,
-        }
-    )
+    cases = [
+        (shape, family)
+        for k in range(1, min(n, 6) + 1)
+        for shape in _all_shapes(k)
+        for family in ("G", "T")
+    ]
+    failures = [
+        "%s in %s" % case
+        for case in cases
+        if count_indexings(*case) != oracle_count_indexings(*case)
+    ]
+    passed = "%d shape/family cases match the oracle" % len(cases)
+    failed = "%d of %d cases disagree, e.g. %s"
+    rows.append(_row("indexing-counts", failures, passed, failed, len(cases)))
     return rows
 
 
@@ -449,21 +315,15 @@ def _is_chain(tree) -> bool:
 
 
 def _suite_primtot(n: int) -> list[dict]:
-    deg = min(n, 5)
+    deg = min(n, _ceiling("D_dims"))
     report = verify_against_enumeration("D_dims", deg)
-    bad = [r for r in report["rows"] if not r["match"]]
-    rows = [
-        {
-            "label": "kernel-dimensions",
-            "ok": report["ok"],
-            "detail": (
-                "degree %d expected %d, got %d" % (bad[0]["degree"], bad[0]["expected"], bad[0]["enumerated"])
-            )
-            if bad
-            else "degrees 1..%d match %s"
-            % (deg, [r["expected"] for r in report["rows"]]),
-        }
+    bad = [
+        "degree %(degree)d expected %(expected)d, got %(enumerated)d" % r
+        for r in report["rows"]
+        if not r["match"]
     ]
+    expected = [r["expected"] for r in report["rows"]]
+    rows = [_row("kernel-dimensions", bad, "degrees 1..%d match %s" % (deg, expected))]
 
     n_max = 24
     fb = series_coefficients("B_forests", n_max)
@@ -473,49 +333,49 @@ def _suite_primtot(n: int) -> list[dict]:
     ok = all(
         sum(d[k] * sq[m - k] for k in range(1, m + 1)) == fb[m] for m in range(1, n_max + 1)
     )
-    rows.append(
-        {
-            "label": "series-quotient",
-            "ok": ok,
-            "detail": "quotient relation holds to degree %d" % n_max if ok else "quotient relation broken",
-        }
-    )
+    failures = [] if ok else ["quotient relation broken"]
+    passed = "quotient relation holds to degree %d" % n_max
+    rows.append(_row("series-quotient", failures, passed))
     return rows
 
 
 def _suite_closure(n: int) -> list[dict]:
     deg = min(n, 6)
-    targets = (
+    rows = []
+    for label, ops, selector in (
         ("concat+lgraft+rgraft", ("concat", "lgraft", "rgraft"), "T"),
         ("concat+nwarrow", ("concat", "nwarrow"), "Bl"),
         ("concat+lgraft", ("concat", "lgraft"), "Bl"),
-    )
-    rows = []
-    for label, ops, selector in targets:
+    ):
         got = generate_closure(ops, deg)
         want = frozenset(_words(selector, deg))
-        missing = sorted(f.text for f in want - got)[:3]
-        extra = sorted(f.text for f in got - want)[:3]
-        ok = got == want
-        if ok:
-            detail = "%d forests, degrees 1..%d" % (len(got), deg)
-        else:
-            detail = "missing %s / extra %s" % (missing or "-", extra or "-")
-        rows.append({"label": label, "ok": ok, "detail": detail})
+        missing = sorted(f.text for f in want - got)[:3] or "-"
+        extra = sorted(f.text for f in got - want)[:3] or "-"
+        failures = [] if got == want else ["missing %s / extra %s" % (missing, extra)]
+        rows.append(_row(label, failures, "%d forests, degrees 1..%d" % (len(got), deg)))
     return rows
 
 
-_RUNNERS = {
-    "hopf": _suite_hopf,
-    "duplicial": _suite_duplicial,
-    "dendriform": _suite_dendriform,
-    "leftgraft": _suite_leftgraft,
-    "rightgraft": _suite_rightgraft,
-    "bigraft": _suite_bigraft,
-    "counts": _suite_counts,
-    "primtot": _suite_primtot,
-    "closure": _suite_closure,
+# Each suite by name: its default degree and its runner.
+_SUITES = {
+    "hopf": (6, _suite_hopf),
+    "duplicial": (6, _sweep((3, ("E1a", "E1b", "E1c")))),
+    "dendriform": (
+        5,
+        _sweep(
+            (1, ("E2a", "E2b", "E2c")),
+            (2, ("E3prec", "E3succ", "E4prec", "E4succ", "DELTASUCC", "DELTAPREC")),
+        ),
+    ),
+    "leftgraft": (6, _sweep((3, ("LGa", "LGb")))),
+    "rightgraft": (6, _sweep((3, ("RGa", "RGb")))),
+    "bigraft": (6, _sweep((3, ("BIGRAFT",)))),
+    "counts": (8, _suite_counts),
+    "primtot": (5, _suite_primtot),
+    "closure": (6, _suite_closure),
 }
+
+SUITES = tuple(_SUITES)
 
 
 def run_suite(suite: str, max_degree: int | None = None) -> dict:
@@ -525,7 +385,7 @@ def run_suite(suite: str, max_degree: int | None = None) -> dict:
     property; "ok" is the conjunction of the rows.
     """
     n = resolve_degree(suite, max_degree)
-    rows = _RUNNERS[suite](n)
+    rows = _SUITES[suite][1](n)
     return {
         "suite": suite,
         "max_degree": n,

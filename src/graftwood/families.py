@@ -33,13 +33,13 @@ import re
 from functools import lru_cache
 
 from .forest import (
+    _BASIS_OPS,
     EMPTY_FOREST,
     OrderedForest,
     OrderedTree,
     PlaneTree,
     SINGLE_VERTEX,
     concat,
-    rgraft_basis,
 )
 
 __all__ = [
@@ -196,7 +196,7 @@ def generate_set(
             out |= _signature_set(sig)
         return frozenset(out)
     if kind == "Br":
-        return frozenset(f for f in _br_layer(n) if f.is_tree)
+        return frozenset(f for f in _closure_layer(_BR_OPS, n) if f.is_tree)
     if kind in _TREE_FAMILIES:
         return frozenset(OrderedForest((t,)) for t in _tree_layer(kind, n))
     raise ValueError("selector %r cannot be enumerated by degree" % selector)
@@ -223,18 +223,26 @@ def _tree_layer(kind: str, n: int) -> frozenset[OrderedTree]:
     return frozenset(build[move](w) for move in top for w in generate_words(below, n - 1))
 
 
+# Br is the closure under concatenation and the right graft.
+_BR_OPS = ("concat", "rgraft")
+
+
 @lru_cache(maxsize=None)
-def _br_layer(n: int) -> frozenset[OrderedForest]:
-    """Degree-n layer of the closure of the single vertex under concatenation
-    and the right graft."""
+def _closure_layer(ops: tuple[str, ...], n: int) -> frozenset[OrderedForest]:
+    """Degree-n layer of the closure of the single vertex under the named
+    basis operations.  Every operation adds degrees, so layer n is built
+    from the pairs of lower layers alone."""
     if n == 1:
         return frozenset({SINGLE_VERTEX})
+    fns = [_BASIS_OPS[op] for op in ops]
     out: set[OrderedForest] = set()
     for k in range(1, n):
-        for a in _br_layer(k):
-            for b in _br_layer(n - k):
-                out.add(concat(a, b))
-                out.add(rgraft_basis(a, b))
+        for a in _closure_layer(ops, k):
+            for b in _closure_layer(ops, n - k):
+                for fn in fns:
+                    res = fn(a, b)
+                    if res is not None:
+                        out.add(res)
     return frozenset(out)
 
 
@@ -345,7 +353,7 @@ def _member(kind: str, i: int | None, trees: tuple, n: int) -> bool:
                 "Br membership is decided against the generated closure, degree <= %d"
                 % CLOSURE_MAX_DEGREE
             )
-        return OrderedForest((_tree_of(trees[0]),)) in _br_layer(n)
+        return OrderedForest((_tree_of(trees[0]),)) in _closure_layer(_BR_OPS, n)
     top, below = _TREE_FAMILIES[kind]
     return _tree_accepts(trees[0], 0, n, top, _TREE_FAMILIES[below][0])
 

@@ -11,6 +11,7 @@ Everything in this module is plain tree surgery; linear combinations live in
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -97,7 +98,12 @@ class PlaneTree:
 EMPTY_FOREST = OrderedForest(())
 SINGLE_VERTEX = OrderedForest((OrderedTree(1),))
 
-_TOKEN = re.compile(r"\d+|\[|\]|\s+")
+_TOKEN = re.compile(r"[0-9]+|\[|\]|\s+")
+
+# Deepest root-to-leaf path, in vertices, that the parser accepts.  The tree
+# walks recurse once per level, and nwarrow stacks one input on the other, so
+# the cap keeps twice its depth within Python's default recursion limit.
+_MAX_DEPTH = 100
 
 
 def _tokenize(text: str) -> list[str]:
@@ -134,17 +140,21 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def parse_tree(self) -> OrderedTree:
+    def parse_tree(self, depth: int = 1) -> OrderedTree:
         tok = self.take()
         if not tok.isdigit():
             raise ForestSyntaxError("expected a label, got %r" % tok)
+        if len(tok) > 1 and tok[0] == "0":
+            raise ForestSyntaxError("label %r has a leading zero" % tok)
+        if depth > _MAX_DEPTH:
+            raise ForestSyntaxError("trees nested deeper than %d vertices" % _MAX_DEPTH)
         label = int(tok)
         children: tuple[OrderedTree, ...] = ()
         if self.peek() == "[":
             self.take()
-            kids = [self.parse_tree()]
+            kids = [self.parse_tree(depth + 1)]
             while self.peek() is not None and self.peek() != "]":
-                kids.append(self.parse_tree())
+                kids.append(self.parse_tree(depth + 1))
             if self.take() != "]":
                 raise ForestSyntaxError("missing closing bracket")
             children = tuple(kids)
@@ -194,11 +204,7 @@ def parse_plane_tree(text: str) -> PlaneTree:
     trees = _Parser(_tokenize(stripped)).parse_forest()
     if len(trees) != 1:
         raise ForestSyntaxError("expected a single tree, got %d" % len(trees))
-
-    def strip_labels(t: OrderedTree) -> PlaneTree:
-        return PlaneTree(tuple(strip_labels(c) for c in t.children))
-
-    return strip_labels(trees[0])
+    return shape_of(OrderedForest(trees))[0]
 
 
 def shape_of(forest: OrderedForest) -> tuple[PlaneTree, ...]:
@@ -210,17 +216,16 @@ def shape_of(forest: OrderedForest) -> tuple[PlaneTree, ...]:
     return tuple(go(t) for t in forest.trees)
 
 
-def _shift_tree(t: OrderedTree, k: int) -> OrderedTree:
-    if k == 0:
-        return t
-    return OrderedTree(t.label + k, tuple(_shift_tree(c, k) for c in t.children))
+def _relabel(t: OrderedTree, remap) -> OrderedTree:
+    """The same tree with every label replaced by remap(label)."""
+    return OrderedTree(remap(t.label), tuple(_relabel(c, remap) for c in t.children))
 
 
 def shift_forest(forest: OrderedForest, k: int) -> OrderedForest:
     """Add k to every label."""
     if k == 0:
         return forest
-    return OrderedForest(tuple(_shift_tree(t, k) for t in forest.trees))
+    return OrderedForest(tuple(_relabel(t, k.__add__) for t in forest.trees))
 
 
 def standardize(vertices: Sequence[OrderedTree] | OrderedForest) -> OrderedForest:
@@ -228,11 +233,7 @@ def standardize(vertices: Sequence[OrderedTree] | OrderedForest) -> OrderedFores
     trees = vertices.trees if isinstance(vertices, OrderedForest) else tuple(vertices)
     labels = sorted(l for t in trees for l in t.labels())
     remap = {old: new for new, old in enumerate(labels, start=1)}
-
-    def go(t: OrderedTree) -> OrderedTree:
-        return OrderedTree(remap[t.label], tuple(go(c) for c in t.children))
-
-    return OrderedForest(tuple(go(t) for t in trees))
+    return OrderedForest(tuple(_relabel(t, remap.__getitem__) for t in trees))
 
 
 def concat(left: OrderedForest, right: OrderedForest) -> OrderedForest:
@@ -284,6 +285,14 @@ AdmissibleCut = frozenset[int]
 
 _CUT_CACHE: dict[OrderedForest, tuple[AdmissibleCut, ...]] = {}
 
+# Most admissible cuts a forest may have before enumerating them is refused.
+_MAX_CUTS = 2**16
+
+
+def _count_cuts(t: OrderedTree) -> int:
+    """Antichains of one tree: the root alone, or any choice in each child."""
+    return 1 + math.prod(_count_cuts(c) for c in t.children)
+
 
 def admissible_cuts(forest: OrderedForest) -> tuple[AdmissibleCut, ...]:
     """All antichains of the ancestry order, as label sets.
@@ -295,6 +304,11 @@ def admissible_cuts(forest: OrderedForest) -> tuple[AdmissibleCut, ...]:
     cached = _CUT_CACHE.get(forest)
     if cached is not None:
         return cached
+    total = math.prod(_count_cuts(t) for t in forest.trees)
+    if total > _MAX_CUTS:
+        raise ValueError(
+            "%d admissible cuts exceed the budget of %d" % (total, _MAX_CUTS)
+        )
     anc = ancestor_map(forest)
     labels = sorted(anc)
     out: list[AdmissibleCut] = []
@@ -419,21 +433,19 @@ def rgraft_basis(left: OrderedForest, right: OrderedForest) -> OrderedForest | N
     offset = left.degree
     new_children = list(host.children)
     for t in right.trees:
-        std = standardize((t,)).trees[0]
-        d = std.degree
-        root = std.label
-
-        def remap(label: int, offset=offset, root=root, d=d) -> int:
-            if label == root:
-                return offset + d
-            return offset + label if label < root else offset + label - 1
-
-        def rebuild(node: OrderedTree) -> OrderedTree:
-            return OrderedTree(
-                remap(node.label), tuple(rebuild(c) for c in node.children)
-            )
-
-        new_children.append(rebuild(std))
-        offset += d
+        below = sorted(label for label in t.labels() if label != t.label)
+        remap = {old: offset + new for new, old in enumerate(below, start=1)}
+        offset += len(below) + 1
+        remap[t.label] = offset
+        new_children.append(_relabel(t, remap.__getitem__))
     merged = OrderedTree(host.label, tuple(new_children))
     return OrderedForest(left.trees[:-1] + (merged,))
+
+
+# The binary basis operations by name; a vanishing graft returns None.
+_BASIS_OPS = {
+    "concat": concat,
+    "nwarrow": nwarrow,
+    "lgraft": lgraft_basis,
+    "rgraft": rgraft_basis,
+}

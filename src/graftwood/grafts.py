@@ -21,11 +21,11 @@ from .algebra import (
     expand_right,
     product,
 )
-from .families import CLOSURE_MAX_DEGREE
+from .families import CLOSURE_MAX_DEGREE, _closure_layer
 from .forest import (
+    _BASIS_OPS,
     EMPTY_FOREST,
     OrderedForest,
-    SINGLE_VERTEX,
     concat,
     lgraft_basis,
     nwarrow,
@@ -43,17 +43,12 @@ __all__ = [
     "generate_closure",
 ]
 
-GRAFT_OPS = ("concat", "nwarrow", "lgraft", "rgraft")
+GRAFT_OPS = tuple(_BASIS_OPS)
 
 
 def _basis_op(name: str):
     try:
-        return {
-            "concat": concat,
-            "nwarrow": nwarrow,
-            "lgraft": lgraft_basis,
-            "rgraft": rgraft_basis,
-        }[name]
+        return _BASIS_OPS[name]
     except KeyError:
         raise ValueError("unknown graft operation: %r" % name) from None
 
@@ -92,10 +87,6 @@ def tensor_graft(op: str, x: Tensor2Element, y: Tensor2Element) -> Tensor2Elemen
 # over the operations defined above.
 
 
-def _t3(t2: Tensor2Element, side: str, variant: str):
-    return expand_left(t2, variant) if side == "left" else expand_right(t2, variant)
-
-
 def _e1a(x, y, z):
     return concat(concat(x, y), z) == concat(x, concat(y, z))
 
@@ -110,19 +101,19 @@ def _e1c(x, y, z):
 
 def _e2a(x):
     t2 = coproduct(x, "precRed")
-    return _t3(t2, "left", "precRed") == _t3(t2, "right", "reduced")
+    return expand_left(t2, "precRed") == expand_right(t2, "reduced")
 
 
 def _e2b(x):
     # Splitting the middle axiom: the rightmost leaf lands in the middle
     # tensor leg either way, so the two iterated refinements agree.
-    lhs = _t3(coproduct(x, "precRed"), "left", "succRed")
-    return lhs == _t3(coproduct(x, "succRed"), "right", "precRed")
+    lhs = expand_left(coproduct(x, "precRed"), "succRed")
+    return lhs == expand_right(coproduct(x, "succRed"), "precRed")
 
 
 def _e2c(x):
     t2 = coproduct(x, "succRed")
-    return _t3(t2, "left", "reduced") == _t3(t2, "right", "succRed")
+    return expand_left(t2, "reduced") == expand_right(t2, "succRed")
 
 
 def _e3(x, y, side: str):
@@ -240,28 +231,13 @@ def generate_closure(ops: Iterable[str], max_degree: int) -> frozenset[OrderedFo
     """Close the single vertex under the named operations, up to a degree.
 
     Returns every forest of degree 1..max_degree reachable by repeatedly
-    applying the operations to already-reached forests.  All four operations
-    add degrees, so one pass per degree suffices.
+    applying the operations to already-reached forests.
     """
-    names = sorted(set(ops))
+    names = tuple(sorted(set(ops)))
     for name in names:
         _basis_op(name)
     if not names:
         raise ValueError("need at least one operation")
     if not 1 <= max_degree <= CLOSURE_MAX_DEGREE:
         raise ValueError("closure degree must be in 1..%d" % CLOSURE_MAX_DEGREE)
-    layers: dict[int, set[OrderedForest]] = {1: {SINGLE_VERTEX}}
-    for d in range(2, max_degree + 1):
-        layer: set[OrderedForest] = set()
-        for k in range(1, d):
-            for a in layers[k]:
-                for b in layers[d - k]:
-                    for name in names:
-                        res = _basis_op(name)(a, b)
-                        if res is not None:
-                            layer.add(res)
-        layers[d] = layer
-    out: set[OrderedForest] = set()
-    for layer in layers.values():
-        out |= layer
-    return frozenset(out)
+    return frozenset().union(*(_closure_layer(names, d) for d in range(1, max_degree + 1)))

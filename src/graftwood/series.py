@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from typing import Callable, NamedTuple, Sequence
 
 from .algebra import prim_tot_dimension
 from .families import generate_set, generate_words
@@ -25,36 +26,20 @@ __all__ = [
 
 MAX_SERIES_DEGREE = 64
 
-# Template placeholders document the parametrized ids accepted by
-# parse_series_id; the parameter must be a positive integer.
-SERIES_IDS = (
-    "Binfty_forests",
-    "Binfty_trees",
-    "Binfty_length(k)",
-    "B0_trees",
-    "B0_forests",
-    "Bi_trees(i)",
-    "Bi_forests(i)",
-    "B_trees",
-    "B_forests",
-    "D_dims",
-)
-
-_PLAIN = frozenset(s for s in SERIES_IDS if "(" not in s)
-
-_PARAMETRIZED = re.compile(r"^(Binfty_length|Bi_trees|Bi_forests)\((\d+)\)$")
+_ID = re.compile(r"(\w+)(?:\((\d+)\))?")
 
 
 def parse_series_id(series_id: str) -> tuple[str, int | None]:
     """Split a series id into (name, parameter); parameter is None for the
     plain tables."""
-    if series_id in _PLAIN:
-        return series_id, None
-    m = _PARAMETRIZED.match(series_id)
-    if m is None:
+    m = _ID.fullmatch(series_id)
+    series = _SERIES.get(m.group(1)) if m else None
+    if series is None or (m.group(2) is None) != (not series.param):
         raise ValueError(
             "unknown series id %r (expected one of: %s)" % (series_id, ", ".join(SERIES_IDS))
         )
+    if m.group(2) is None:
+        return m.group(1), None
     param = int(m.group(2))
     if param < 1:
         raise ValueError("series parameter must be >= 1, got %d" % param)
@@ -88,7 +73,7 @@ def _catalan(n_max: int):
     return c
 
 
-def _compose_words(trees: list[int], n_max: int) -> list[int]:
+def _compose_words(trees: Sequence[int], n_max: int) -> list[int]:
     """Free-word composition: a word is a tree followed by a shorter word."""
     f = [0] * (n_max + 1)
     f[0] = 1
@@ -130,94 +115,104 @@ def _binfty_trees(n_max: int) -> tuple[int, ...]:
     return tuple(f[n][1] if 1 <= n <= n_max else 0 for n in range(n_max + 1))
 
 
+def _length_column(k: int, n_max: int) -> list[int]:
+    f, _ = _length_triangle(n_max)
+    return [0] + [f[n][k] if k <= n else 0 for n in range(1, n_max + 1)]
+
+
+def _d_dims(_, n_max: int) -> list[int]:
+    """Dimensions d[n] from the quotient relation fb = d * fb^2."""
+    fb = _compose_words(_wrap_trees(n_max), n_max)
+    fb2 = [sum(fb[a] * fb[m - a] for a in range(m + 1)) for m in range(n_max + 1)]
+    d = [0] * (n_max + 1)
+    for n in range(1, n_max + 1):
+        d[n] = fb[n] - sum(d[k] * fb2[n - k] for k in range(1, n))
+    return d
+
+
+def _tree_count(selector: str, n: int) -> int:
+    return sum(1 for f in generate_set(selector, n) if f.is_tree)
+
+
+class _Series(NamedTuple):
+    param: str  # placeholder of a parametrized id, "" for a plain table
+    values: Callable  # (param, n_max) -> coefficients indexed by degree
+    enumerated: Callable  # (param, n) -> size of the generated degree-n set
+    ceiling: int  # highest degree the enumeration is available for
+
+
+# Each table by name, in the order of SERIES_IDS.  The ceilings stop where
+# the generated sets are unguaranteed (family guards) or not independently
+# available.
+_SERIES = {
+    "Binfty_forests": _Series(
+        "", lambda _, n: _length_triangle(n)[1], lambda _, n: len(generate_set("G", n)), 8
+    ),
+    "Binfty_trees": _Series(
+        "", lambda _, n: _binfty_trees(n), lambda _, n: _tree_count("G", n), 8
+    ),
+    "Binfty_length": _Series(
+        "(k)",
+        _length_column,
+        lambda k, n: sum(1 for f in generate_set("G", n) if len(f.trees) == k),
+        8,
+    ),
+    "B0_trees": _Series(
+        "", lambda _, n: [0] + _catalan(n)[:n], lambda _, n: _tree_count("G0", n), 8
+    ),
+    "B0_forests": _Series(
+        "", lambda _, n: _catalan(n), lambda _, n: len(generate_set("G0", n)), 8
+    ),
+    "Bi_trees": _Series("(i)", _layered_trees, lambda i, n: _tree_count("G%d" % i, n), 8),
+    "Bi_forests": _Series(
+        "(i)",
+        lambda i, n: _compose_words(_layered_trees(i, n), n),
+        lambda i, n: len(generate_words("G%d" % i, n)),
+        8,
+    ),
+    "B_trees": _Series("", lambda _, n: _wrap_trees(n), lambda _, n: len(generate_set("T", n)), 7),
+    "B_forests": _Series(
+        "",
+        lambda _, n: _compose_words(_wrap_trees(n), n),
+        lambda _, n: len(generate_words("T", n)),
+        7,
+    ),
+    "D_dims": _Series("", _d_dims, lambda _, n: prim_tot_dimension(n), 5),
+}
+
+# Template placeholders document the parametrized ids accepted by
+# parse_series_id; the parameter must be a positive integer.
+SERIES_IDS = tuple(name + series.param for name, series in _SERIES.items())
+
+
+def _ceiling(series_id: str) -> int:
+    """Highest degree verify_against_enumeration accepts for a table."""
+    return _SERIES[parse_series_id(series_id)[0]].ceiling
+
+
 def series_coefficients(series_id: str, n_max: int) -> dict[int, int]:
     """Exact coefficients of one counting series for degrees 1..n_max."""
     if not 1 <= n_max <= MAX_SERIES_DEGREE:
         raise ValueError("max degree must be between 1 and %d" % MAX_SERIES_DEGREE)
     name, param = parse_series_id(series_id)
-    if name == "Binfty_forests":
-        _, totals = _length_triangle(n_max)
-        values = totals
-    elif name == "Binfty_trees":
-        values = _binfty_trees(n_max)
-    elif name == "Binfty_length":
-        f, _ = _length_triangle(n_max)
-        values = [0] + [f[n][param] if param <= n else 0 for n in range(1, n_max + 1)]
-    elif name == "B0_trees":
-        cat = _catalan(n_max)
-        values = [0] + [cat[n - 1] for n in range(1, n_max + 1)]
-    elif name == "B0_forests":
-        values = _catalan(n_max)
-    elif name == "Bi_trees":
-        values = _layered_trees(param, n_max)
-    elif name == "Bi_forests":
-        values = _compose_words(list(_layered_trees(param, n_max)), n_max)
-    elif name == "B_trees":
-        values = _wrap_trees(n_max)
-    elif name == "B_forests":
-        values = _compose_words(list(_wrap_trees(n_max)), n_max)
-    else:  # D_dims
-        fb = _compose_words(list(_wrap_trees(n_max)), n_max)
-        fb2 = [sum(fb[a] * fb[m - a] for a in range(m + 1)) for m in range(n_max + 1)]
-        d = [0] * (n_max + 1)
-        for n in range(1, n_max + 1):
-            d[n] = fb[n] - sum(d[k] * fb2[n - k] for k in range(1, n))
-        values = d
+    values = _SERIES[name].values(param, n_max)
     return {n: int(values[n]) for n in range(1, n_max + 1)}
-
-
-# Enumeration ceilings for the cross-check; beyond them the generated sets
-# are either unguaranteed (family guards) or not independently available.
-_VERIFY_LIMITS = {
-    "Binfty_forests": 8,
-    "Binfty_trees": 8,
-    "Binfty_length": 8,
-    "B0_trees": 8,
-    "B0_forests": 8,
-    "Bi_trees": 8,
-    "Bi_forests": 8,
-    "B_trees": 7,
-    "B_forests": 7,
-    "D_dims": 5,
-}
-
-
-def _enumerated_value(name: str, param: int | None, n: int) -> int:
-    if name == "Binfty_forests":
-        return len(generate_set("G", n))
-    if name == "Binfty_trees":
-        return sum(1 for f in generate_set("G", n) if f.is_tree)
-    if name == "Binfty_length":
-        return sum(1 for f in generate_set("G", n) if len(f.trees) == param)
-    if name == "B0_trees":
-        return sum(1 for f in generate_set("G0", n) if f.is_tree)
-    if name == "B0_forests":
-        return len(generate_set("G0", n))
-    if name == "Bi_trees":
-        return sum(1 for f in generate_set("G%d" % param, n) if f.is_tree)
-    if name == "Bi_forests":
-        return len(generate_words("G%d" % param, n))
-    if name == "B_trees":
-        return len(generate_set("T", n))
-    if name == "B_forests":
-        return len(generate_words("T", n))
-    return prim_tot_dimension(n)
 
 
 def verify_against_enumeration(series_id: str, n_max: int) -> dict:
     """Compare a coefficient table against brute enumeration degree by
     degree.  Mismatches land in the report rows, never in an exception."""
     name, param = parse_series_id(series_id)
-    limit = _VERIFY_LIMITS[name]
-    if not 1 <= n_max <= limit:
+    series = _SERIES[name]
+    if not 1 <= n_max <= series.ceiling:
         raise ValueError(
-            "enumeration for %s is only available up to degree %d" % (series_id, limit)
+            "enumeration for %s is only available up to degree %d" % (series_id, series.ceiling)
         )
     table = series_coefficients(series_id, n_max)
     rows = []
     for n in range(1, n_max + 1):
         expected = table[n]
-        counted = _enumerated_value(name, param, n)
+        counted = series.enumerated(param, n)
         rows.append(
             {
                 "degree": n,

@@ -10,6 +10,7 @@ import pytest
 
 import graftwood
 from graftwood.cli import execute, main
+from graftwood.forest import _MAX_DEPTH
 
 
 @pytest.fixture
@@ -88,6 +89,115 @@ def test_op_json_is_a_format_string(run):
     code, out, _ = run(["--json", "op", "lgraft", "1", "()"])
     assert code == 0
     assert json.loads(out) == "0"
+
+
+# Plain output of every suite at a small degree; primtot at 6 pins the
+# D_dims enumeration cap of 5.  The JSON form is derived from the same rows.
+SUITE_GOLDEN = {
+    ("hopf", 4): """\
+ok   coassociativity: 60 forests, degrees 1..4
+ok   counit: 60 forests
+ok   antipode: 60 forests
+ok   append-move-compatibility: 60 forests
+ok   factor-closure-signature-products: 58 forests, all factors stay inside
+ok   factor-closure-word-basis: 60 forests, all factors stay inside
+ok   factor-closure-layer-1: 42 forests, all factors stay inside
+ok   factor-closure-layer-2: 52 forests, all factors stay inside
+ok   factor-closure-layer-3: 58 forests, all factors stay inside
+ok   branch-refinement-layer-2: 23 trees, branches drop a layer
+ok   branch-refinement-layer-3: 29 trees, branches drop a layer
+suite hopf at degree 4: pass
+""",
+    ("duplicial", 4): """\
+ok   E1a: 10 cases
+ok   E1b: 10 cases
+ok   E1c: 10 cases
+suite duplicial at degree 4: pass
+""",
+    ("dendriform", 4): """\
+ok   E2a: 60 cases
+ok   E2b: 60 cases
+ok   E2c: 60 cases
+ok   E3prec: 38 cases
+ok   E3succ: 38 cases
+ok   E4prec: 38 cases
+ok   E4succ: 38 cases
+ok   DELTASUCC: 38 cases
+FAIL DELTAPREC: 9 of 38 cases fail, e.g. (1, 1[2])
+suite dendriform at degree 4: FAIL
+""",
+    ("leftgraft", 4): """\
+ok   LGa: 10 cases
+ok   LGb: 10 cases
+suite leftgraft at degree 4: pass
+""",
+    ("rightgraft", 4): """\
+ok   RGa: 10 cases
+ok   RGb: 10 cases
+suite rightgraft at degree 4: pass
+""",
+    ("bigraft", 4): """\
+ok   BIGRAFT: 10 cases
+suite bigraft at degree 4: pass
+""",
+    ("counts", 4): """\
+ok   table-Binfty_trees: degrees 1..4 agree
+ok   table-Binfty_forests: degrees 1..4 agree
+ok   table-Binfty_length(1): degrees 1..4 agree
+ok   table-Binfty_length(2): degrees 1..4 agree
+ok   table-Binfty_length(3): degrees 1..4 agree
+ok   table-B0_trees: degrees 1..4 agree
+ok   table-B0_forests: degrees 1..4 agree
+ok   table-Bi_trees(1): degrees 1..4 agree
+ok   table-Bi_forests(1): degrees 1..4 agree
+ok   table-Bi_trees(2): degrees 1..4 agree
+ok   table-Bi_forests(2): degrees 1..4 agree
+ok   table-Bi_trees(3): degrees 1..4 agree
+ok   table-Bi_forests(3): degrees 1..4 agree
+ok   table-Bi_trees(4): degrees 1..4 agree
+ok   table-Bi_forests(4): degrees 1..4 agree
+ok   table-Bi_trees(5): degrees 1..4 agree
+ok   table-Bi_forests(5): degrees 1..4 agree
+ok   table-Bi_trees(6): degrees 1..4 agree
+ok   table-Bi_forests(6): degrees 1..4 agree
+ok   table-B_trees: degrees 1..4 agree
+ok   table-B_forests: degrees 1..4 agree
+ok   chain-census: degrees 1..4, one chain per signature
+ok   indexing-counts: 18 shape/family cases match the oracle
+suite counts at degree 4: pass
+""",
+    ("primtot", 4): """\
+ok   kernel-dimensions: degrees 1..4 match [1, 1, 2, 6]
+ok   series-quotient: quotient relation holds to degree 24
+suite primtot at degree 4: pass
+""",
+    ("closure", 4): """\
+ok   concat+lgraft+rgraft: 60 forests, degrees 1..4
+ok   concat+nwarrow: 22 forests, degrees 1..4
+ok   concat+lgraft: 22 forests, degrees 1..4
+suite closure at degree 4: pass
+""",
+    ("primtot", 6): """\
+ok   kernel-dimensions: degrees 1..5 match [1, 1, 2, 6, 22]
+ok   series-quotient: quotient relation holds to degree 24
+suite primtot at degree 6: pass
+""",
+}
+
+
+@pytest.mark.parametrize("suite,degree", SUITE_GOLDEN, ids=["%s-%d" % k for k in SUITE_GOLDEN])
+def test_check_suite_golden(run, suite, degree):
+    expected = SUITE_GOLDEN[suite, degree]
+    passed = expected.endswith(": pass\n")
+    code, out, err = run(["check", "--suite", suite, "--max-degree", str(degree)])
+    assert (code, out, err) == (0 if passed else 1, expected, "")
+    rows = []
+    for line in expected.splitlines()[:-1]:
+        label, detail = line[5:].split(": ", 1)
+        rows.append({"label": label, "ok": line.startswith("ok"), "detail": detail})
+    report = {"suite": suite, "max_degree": degree, "ok": passed, "rows": rows}
+    code, out, err = run(["--json", "check", "--suite", suite, "--max-degree", str(degree)])
+    assert (code, out, err) == (0 if passed else 1, json.dumps(report, separators=(",", ":")) + "\n", "")
 
 
 # --- coproduct ---------------------------------------------------------------
@@ -222,6 +332,49 @@ def test_check_json_schema(run):
     assert report["suite"] == "bigraft"
     assert report["ok"] is True
     assert report["rows"][0]["label"] == "BIGRAFT"
+
+
+# --- input limits ------------------------------------------------------------
+
+
+def _chain(n):
+    return "".join("%d[" % i for i in range(1, n)) + str(n) + "]" * (n - 1)
+
+
+def test_deep_nesting_exits_two(run):
+    deep = _chain(1500)
+    for argv in (["op", "concat", deep, "1"], ["op", "nwarrow", deep, "1"], ["coproduct", deep]):
+        code, out, err = run(argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: trees nested deeper than %d" % _MAX_DEPTH)
+
+
+def test_nesting_at_the_cap_runs(run):
+    chain = _chain(_MAX_DEPTH)
+    code, out, err = run(["op", "concat", chain, "1"])
+    assert (code, out, err) == (0, "%s %d\n" % (chain, _MAX_DEPTH + 1), "")
+    # nwarrow stacks the right chain under the left one: twice the cap deep
+    code, out, err = run(["op", "nwarrow", chain, chain])
+    assert (code, err) == (0, "")
+    assert out.count("[") == 2 * _MAX_DEPTH - 1
+
+
+@pytest.mark.parametrize("label", ["\u0661", "01"])
+def test_labels_are_ascii_without_leading_zeros(run, label):
+    code, out, err = run(["op", "lgraft", label, "1[2]"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+    assert run(["indexings", "0[0 0]"]) == (0, "3\n", "")
+
+
+def test_coproduct_cut_budget(run):
+    code, out, err = run(["coproduct", " ".join(str(i) for i in range(1, 31))])
+    assert (code, out) == (2, "")
+    assert err == "error: 1073741824 admissible cuts exceed the budget of 65536\n"
+    # 16 vertices, 4375 cuts
+    code, out, err = run(["coproduct", "16[1[2] 3[4] 5[6] 7[8] 9[10] 11[12] 13[14] 15]"])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "1 * 16[1[2] 3[4] 5[6] 7[8] 9[10] 11[12] 13[14] 15] (x) ()"
 
 
 # --- plumbing ----------------------------------------------------------------

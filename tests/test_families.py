@@ -21,6 +21,7 @@ from graftwood.forest import (
     EMPTY_FOREST,
     OrderedForest,
     PlaneTree,
+    concat,
     parse_forest,
     parse_plane_tree,
     shape_of,
@@ -475,6 +476,18 @@ def test_signed_words_differ_from_signed_forests():
     # count (29) exceeds the signature-union count (19)
     assert len(generate_set("G1", 4)) == 19
     assert len(generate_words("G1", 4)) == 29
+
+
+def test_signature_forest_products_are_g_words():
+    # the hopf suite's factor-closure-signature-products row (degrees <= 6)
+    # takes the span of the G forests under the product to be the G words
+    layers = [{EMPTY_FOREST}]
+    for d in range(1, 7):
+        layer = set(generate_set("G", d))
+        for k in range(1, d):
+            layer |= {concat(g, w) for g in generate_set("G", k) for w in layers[d - k]}
+        assert layer == generate_words("G", d)
+        layers.append(layer)
 
 
 def test_br_layer_frozen():

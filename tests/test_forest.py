@@ -4,7 +4,11 @@ import itertools
 
 import pytest
 
+from graftwood.families import generate_set
 from graftwood.forest import (
+    _MAX_CUTS,
+    _MAX_DEPTH,
+    _count_cuts,
     BothUnitsError,
     EMPTY_FOREST,
     ForestSyntaxError,
@@ -51,11 +55,28 @@ def test_parse_normalizes_whitespace():
 
 @pytest.mark.parametrize(
     "bad",
-    ["", "1 1", "1 3", "0", "2", "1[", "1]", "[1]", "1[2", "a", "1,2", "() 1"],
+    ["", "1 1", "1 3", "0", "2", "1[", "1]", "[1]", "1[2", "a", "1,2", "() 1",
+     "\u0661", "1[\uff12]", "01", "1[02]", "2[1] 03"],
 )
 def test_parse_rejects(bad):
     with pytest.raises(ForestSyntaxError):
         parse_forest(bad)
+
+
+def _chain(n):
+    return "".join("%d[" % i for i in range(1, n)) + str(n) + "]" * (n - 1)
+
+
+def test_parse_nesting_cap():
+    assert parse_forest(_chain(_MAX_DEPTH)).degree == _MAX_DEPTH
+    for depth in (_MAX_DEPTH + 1, 1500):
+        with pytest.raises(ForestSyntaxError, match="nested deeper"):
+            parse_forest(_chain(depth))
+    # the cap counts the vertices on one root-to-leaf path, not in the forest
+    two = parse_forest(_chain(_MAX_DEPTH) + " %d" % (_MAX_DEPTH + 1))
+    assert two.degree == _MAX_DEPTH + 1
+    with pytest.raises(ForestSyntaxError):
+        parse_plane_tree("0[" * _MAX_DEPTH + "0" + "]" * _MAX_DEPTH)
 
 
 def test_degree_and_flags():
@@ -136,6 +157,23 @@ def test_cut_counts_pinned():
     # a chain of n vertices has n+1 antichains
     for n, text in [(1, "1"), (2, "2[1]"), (3, "1[3[2]]"), (4, "1[4[2[3]]]")]:
         assert len(admissible_cuts(parse_forest(text))) == n + 1
+
+
+def test_cut_count_formula_matches_enumeration():
+    for n in range(1, 6):
+        for f in generate_set("G", n):
+            count = 1
+            for t in f.trees:
+                count *= _count_cuts(t)
+            assert count == len(admissible_cuts(f)), f.text
+
+
+def test_cut_budget():
+    # n isolated vertices have 2^n cuts: 16 sit exactly at the budget
+    assert _MAX_CUTS == 2**16
+    assert len(admissible_cuts(parse_forest(" ".join(map(str, range(1, 17)))))) == 2**16
+    with pytest.raises(ValueError, match="budget"):
+        admissible_cuts(parse_forest(" ".join(map(str, range(1, 18)))))
 
 
 def test_cuts_deterministic_order():
