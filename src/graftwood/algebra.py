@@ -16,16 +16,16 @@ restrict which cuts contribute:
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .families import b_minus, b_plus, generate_words
 from .forest import (
     EMPTY_FOREST,
     OrderedForest,
     admissible_cuts,
-    ancestor_map,
     concat,
     cut_split,
-    rightmost_leaf_label,
+    rightmost_path,
     root_labels,
     standardize,
 )
@@ -212,9 +212,6 @@ _VARIANT_ALIASES = {
     "succ": "succRed",
 }
 
-_COPRODUCT_CACHE: dict[tuple[OrderedForest, str], Tensor2Element] = {}
-
-
 def _normalize_variant(variant: str) -> str:
     variant = _VARIANT_ALIASES.get(variant, variant)
     if variant not in COPRODUCT_VARIANTS:
@@ -222,16 +219,12 @@ def _normalize_variant(variant: str) -> str:
     return variant
 
 
+@lru_cache(maxsize=None)
 def _forest_coproduct(forest: OrderedForest, variant: str) -> Tensor2Element:
-    key = (forest, variant)
-    cached = _COPRODUCT_CACHE.get(key)
-    if cached is not None:
-        return cached
     roots = root_labels(forest)
     rootset = frozenset(roots)
     if variant in ("precRed", "succRed") and not forest.is_empty:
-        leaf = rightmost_leaf_label(forest)
-        above_leaf = ancestor_map(forest)[leaf] | {leaf}
+        above_leaf = frozenset(rightmost_path(forest))
     out: dict = {}
     for cut in admissible_cuts(forest):
         if variant == "reduced":
@@ -251,9 +244,7 @@ def _forest_coproduct(forest: OrderedForest, variant: str) -> Tensor2Element:
                 continue
         pair = cut_split(forest, cut)
         out[pair] = out.get(pair, Fraction(0)) + 1
-    result = Tensor2Element(out)
-    _COPRODUCT_CACHE[key] = result
-    return result
+    return Tensor2Element(out)
 
 
 def coproduct(x, variant: str = "full") -> Tensor2Element:
@@ -296,8 +287,6 @@ def _expand(t2: Tensor2Element, variant: str, side: str) -> Tensor3Terms:
 
 DEFAULT_ANTIPODE_DEGREE = 5
 
-_ANTIPODE_CACHE: dict[OrderedForest, AlgebraElement] = {}
-
 
 def antipode(x, max_degree: int = DEFAULT_ANTIPODE_DEGREE) -> AlgebraElement:
     """The antipode, computed degree-recursively from the reduced coproduct.
@@ -317,20 +306,16 @@ def antipode(x, max_degree: int = DEFAULT_ANTIPODE_DEGREE) -> AlgebraElement:
     return out
 
 
+@lru_cache(maxsize=None)
 def _antipode_forest(forest: OrderedForest) -> AlgebraElement:
     if forest.is_empty:
         return AlgebraElement.unit()
-    cached = _ANTIPODE_CACHE.get(forest)
-    if cached is not None:
-        return cached
     acc = {forest: Fraction(-1)}
     for (lea, roo), c in _forest_coproduct(forest, "reduced").terms.items():
         for g, d in _antipode_forest(lea).terms.items():
             h = concat(g, roo)
             acc[h] = acc.get(h, Fraction(0)) - c * d
-    result = AlgebraElement(acc)
-    _ANTIPODE_CACHE[forest] = result
-    return result
+    return AlgebraElement(acc)
 
 
 def prim_tot_dimension(n: int, max_degree: int = DEFAULT_ANTIPODE_DEGREE) -> int:

@@ -32,7 +32,7 @@ from .families import (
     oracle_count_indexings,
     signature_of,
 )
-from .forest import OrderedForest, PlaneTree
+from .forest import OrderedForest, shape_of
 from .grafts import check_identity, generate_closure
 from .series import _ceiling, series_coefficients, verify_against_enumeration
 
@@ -236,26 +236,6 @@ _COUNT_TABLES = (
 )
 
 
-def _all_shapes(n: int) -> list[PlaneTree]:
-    if n == 1:
-        return [PlaneTree()]
-    out = []
-    for kids in _shape_forests(n - 1):
-        out.append(PlaneTree(kids))
-    return out
-
-
-def _shape_forests(m: int):
-    if m == 0:
-        return [()]
-    out = []
-    for k in range(1, m + 1):
-        for head in _all_shapes(k):
-            for rest in _shape_forests(m - k):
-                out.append((head,) + rest)
-    return out
-
-
 def _suite_counts(n: int) -> list[dict]:
     rows = []
     for series_id in _COUNT_TABLES:
@@ -291,7 +271,8 @@ def _suite_counts(n: int) -> list[dict]:
     cases = [
         (shape, family)
         for k in range(1, min(n, 6) + 1)
-        for shape in _all_shapes(k)
+        # post-order labelling makes the Bl trees one per plane shape
+        for shape in sorted((shape_of(f)[0] for f in generate_set("Bl", k)), key=str)
         for family in ("G", "T")
     ]
     failures = [

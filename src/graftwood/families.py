@@ -112,31 +112,23 @@ def signature_of(forest: OrderedForest) -> str:
     return "+" + "".join(reversed(letters))
 
 
-_SIG_SET_CACHE: dict[str, frozenset[OrderedForest]] = {}
-
-
+@lru_cache(maxsize=None)
 def _signature_set(signature: str) -> frozenset[OrderedForest]:
     """All forests with the given canonical signature."""
-    cached = _SIG_SET_CACHE.get(signature)
-    if cached is not None:
-        return cached
     if len(signature) == 1:
-        result = frozenset({SINGLE_VERTEX})
-    else:
-        n = len(signature)
-        out: set[OrderedForest] = set()
-        for f in _signature_set(signature[:-1]):
-            if signature[-1] == "-":
-                out.add(OrderedForest((b_minus(f),)))
-            else:
-                out.add(OrderedForest(f.trees + (OrderedTree(n),)))
-                for i, t in enumerate(f.trees):
-                    new = OrderedTree(n, f.trees[i + 1 :])
-                    grafted = OrderedTree(t.label, t.children + (new,))
-                    out.add(OrderedForest(f.trees[:i] + (grafted,)))
-        result = frozenset(out)
-    _SIG_SET_CACHE[signature] = result
-    return result
+        return frozenset({SINGLE_VERTEX})
+    n = len(signature)
+    out: set[OrderedForest] = set()
+    for f in _signature_set(signature[:-1]):
+        if signature[-1] == "-":
+            out.add(OrderedForest((b_minus(f),)))
+        else:
+            out.add(OrderedForest(f.trees + (OrderedTree(n),)))
+            for i, t in enumerate(f.trees):
+                new = OrderedTree(n, f.trees[i + 1 :])
+                grafted = OrderedTree(t.label, t.children + (new,))
+                out.add(OrderedForest(f.trees[:i] + (grafted,)))
+    return frozenset(out)
 
 
 def _signatures_with_free_tail(n: int, tail: int):
@@ -149,7 +141,8 @@ def _signatures_with_free_tail(n: int, tail: int):
 
 # --- family selectors -------------------------------------------------------
 
-_GI_RE = re.compile(r"G(\d+)\Z")
+# ASCII digits only, and no leading zero, as for forest labels
+_GI_RE = re.compile(r"G(0|[1-9][0-9]*)\Z")
 
 
 def _parse_selector(selector: str) -> tuple[str, int | None]:
@@ -248,8 +241,6 @@ def _closure_layer(ops: tuple[str, ...], n: int) -> frozenset[OrderedForest]:
 
 def generate_words(selector: str, n: int) -> frozenset[OrderedForest]:
     """All degree-n words (block concatenations) over a family's trees."""
-    if n == 0:
-        return frozenset({EMPTY_FOREST})
     return _words_over(selector, n)
 
 
@@ -402,25 +393,20 @@ def count_indexings(shape: PlaneTree, family: str) -> int:
             node = node.children[0]
         return total
     if family == "T":
-        memo: dict[PlaneTree, int] = {}
-
-        def a(v: PlaneTree) -> int:
-            hit = memo.get(v)
-            if hit is not None:
-                return hit
-            if not v.children:
-                memo[v] = 1
-                return 1
-            avals = [a(c) for c in v.children]
-            gprod = [math.prod(a(d) for d in c.children) for c in v.children]
-            total = math.prod(avals)
-            for i in range(len(avals)):
-                total += math.prod(avals[:i]) * math.prod(gprod[i:])
-            memo[v] = total
-            return total
-
-        return a(shape)
+        return _t_indexings(shape)
     raise ValueError("count_indexings supports the families 'G' and 'T', got %r" % family)
+
+
+@lru_cache(maxsize=None)
+def _t_indexings(v: PlaneTree) -> int:
+    if not v.children:
+        return 1
+    avals = [_t_indexings(c) for c in v.children]
+    gprod = [math.prod(_t_indexings(d) for d in c.children) for c in v.children]
+    total = math.prod(avals)
+    for i in range(len(avals)):
+        total += math.prod(avals[:i]) * math.prod(gprod[i:])
+    return total
 
 
 def _labelled_tuple(shape: PlaneTree, it):

@@ -11,10 +11,11 @@ Everything in this module is plain tree surgery; linear combinations live in
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
 
@@ -249,41 +250,25 @@ def root_labels(forest: OrderedForest) -> tuple[int, ...]:
     return tuple(t.label for t in forest.trees)
 
 
-def rightmost_leaf_label(forest: OrderedForest) -> int:
-    """Label of the leaf reached by always taking the last child of the last tree."""
+def rightmost_path(forest: OrderedForest) -> tuple[int, ...]:
+    """Labels from the root of the last tree down to its rightmost leaf,
+    always taking the last child."""
     if forest.is_empty:
         raise ValueError("the empty forest has no leaves")
     node = forest.trees[-1]
+    path = [node.label]
     while node.children:
         node = node.children[-1]
-    return node.label
+        path.append(node.label)
+    return tuple(path)
 
 
-_ANCESTOR_CACHE: dict[OrderedForest, dict[int, frozenset[int]]] = {}
-
-
-def ancestor_map(forest: OrderedForest) -> dict[int, frozenset[int]]:
-    """Map each label to the set of labels of its strict ancestors."""
-    cached = _ANCESTOR_CACHE.get(forest)
-    if cached is not None:
-        return cached
-    out: dict[int, frozenset[int]] = {}
-
-    def walk(t: OrderedTree, above: frozenset[int]) -> None:
-        out[t.label] = above
-        below = above | {t.label}
-        for c in t.children:
-            walk(c, below)
-
-    for t in forest.trees:
-        walk(t, frozenset())
-    _ANCESTOR_CACHE[forest] = out
-    return out
+def rightmost_leaf_label(forest: OrderedForest) -> int:
+    """Label of the leaf reached by always taking the last child of the last tree."""
+    return rightmost_path(forest)[-1]
 
 
 AdmissibleCut = frozenset[int]
-
-_CUT_CACHE: dict[OrderedForest, tuple[AdmissibleCut, ...]] = {}
 
 # Most admissible cuts a forest may have before enumerating them is refused.
 _MAX_CUTS = 2**16
@@ -294,38 +279,35 @@ def _count_cuts(t: OrderedTree) -> int:
     return 1 + math.prod(_count_cuts(c) for c in t.children)
 
 
+def _cuts_of(trees: tuple[OrderedTree, ...]) -> Iterator[tuple[AdmissibleCut, ...]]:
+    """The cuts of a forest by the recursion _count_cuts counts: one part per
+    tree, each either the tree's root alone or a cut of its children."""
+    return itertools.product(
+        *(
+            [frozenset({t.label})] + [frozenset().union(*c) for c in _cuts_of(t.children)]
+            for t in trees
+        )
+    )
+
+
+@lru_cache(maxsize=None)
+def _sorted_cuts(forest: OrderedForest) -> tuple[AdmissibleCut, ...]:
+    return tuple(sorted((frozenset().union(*c) for c in _cuts_of(forest.trees)), key=sorted))
+
+
 def admissible_cuts(forest: OrderedForest) -> tuple[AdmissibleCut, ...]:
     """All antichains of the ancestry order, as label sets.
 
     Includes the empty cut and the total cut (all roots).  Deterministic
-    order: depth-first lexicographic on the sorted label tuples, so () comes
-    first, then (1), (1,2), ..., (2), ...
+    order: lexicographic on the sorted label tuples, so () comes first,
+    then (1), (1,2), ..., (2), ...
     """
-    cached = _CUT_CACHE.get(forest)
-    if cached is not None:
-        return cached
     total = math.prod(_count_cuts(t) for t in forest.trees)
     if total > _MAX_CUTS:
         raise ValueError(
             "%d admissible cuts exceed the budget of %d" % (total, _MAX_CUTS)
         )
-    anc = ancestor_map(forest)
-    labels = sorted(anc)
-    out: list[AdmissibleCut] = []
-
-    def extend(start: int, chosen: tuple[int, ...]) -> None:
-        out.append(frozenset(chosen))
-        for j in range(start, len(labels)):
-            v = labels[j]
-            va = anc[v]
-            if any(u in va or v in anc[u] for u in chosen):
-                continue
-            extend(j + 1, chosen + (v,))
-
-    extend(0, ())
-    result = tuple(out)
-    _CUT_CACHE[forest] = result
-    return result
+    return _sorted_cuts(forest)
 
 
 def cut_split(
@@ -337,13 +319,6 @@ def cut_split(
     encounter order; the remainder is what is left after removing them.
     """
     cut = frozenset(cut)
-    anc = ancestor_map(forest)
-    if not cut <= anc.keys():
-        raise ValueError("cut contains labels outside the forest")
-    for v in cut:
-        if anc[v] & cut:
-            raise ValueError("cut is not an antichain: %s" % sorted(cut))
-
     extracted: list[OrderedTree] = []
 
     def prune(t: OrderedTree) -> OrderedTree | None:
@@ -354,6 +329,12 @@ def cut_split(
         return t if kept == t.children else OrderedTree(t.label, kept)
 
     remainder = tuple(r for r in (prune(t) for t in forest.trees) if r is not None)
+    # the walk stops at every cut vertex, so a cut label it never reached
+    # lies outside the forest or below another cut vertex
+    if len(extracted) != len(cut):
+        if not cut <= set(forest.labels()):
+            raise ValueError("cut contains labels outside the forest")
+        raise ValueError("cut is not an antichain: %s" % sorted(cut))
     return standardize(extracted), standardize(remainder)
 
 

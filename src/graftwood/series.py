@@ -26,7 +26,8 @@ __all__ = [
 
 MAX_SERIES_DEGREE = 64
 
-_ID = re.compile(r"(\w+)(?:\((\d+)\))?")
+# ASCII digits only, and no leading zero, as for forest labels
+_ID = re.compile(r"(\w+)(?:\((0|[1-9][0-9]*)\))?")
 
 
 def parse_series_id(series_id: str) -> tuple[str, int | None]:

@@ -367,6 +367,25 @@ def test_labels_are_ascii_without_leading_zeros(run, label):
     assert run(["indexings", "0[0 0]"]) == (0, "3\n", "")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--table", "Bi_trees(\u0661)", "--max", "3"],
+        ["--json", "count", "--table", "Bi_trees(\u0661)", "--max", "3", "--verify"],
+        ["count", "--table", "Bi_trees(01)", "--max", "3"],
+        ["enumerate", "--set", "G\u0661", "--degree", "3"],
+        ["enumerate", "--set", "G01", "--degree", "3"],
+    ],
+)
+def test_parameters_are_ascii_without_leading_zeros(run, argv):
+    code, out, err = run(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: unknown")
+    # the same parameters in ASCII without the zero are accepted
+    fixed = [a.replace("\u0661", "1").replace("01", "1") for a in argv]
+    assert run(fixed)[0] == 0
+
+
 def test_coproduct_cut_budget(run):
     code, out, err = run(["coproduct", " ".join(str(i) for i in range(1, 31))])
     assert (code, out) == (2, "")

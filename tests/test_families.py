@@ -354,6 +354,16 @@ def test_counts_match_oracle_small():
                 ), (str(shape), family)
 
 
+def test_bl_trees_are_one_per_shape():
+    # post-order labelling is a bijection from plane shapes onto Bl trees
+    catalan = [1, 1, 2, 5, 14, 42, 132, 429]
+    for n in range(1, 9):
+        shapes = [shape_of(f)[0] for f in generate_set("Bl", n)]
+        assert len(set(shapes)) == len(shapes) == catalan[n - 1]
+        if n <= 6:
+            assert set(shapes) == set(all_shapes(n))
+
+
 def test_counts_sum_to_tree_counts():
     # summing the per-shape counts over all shapes recovers the tree tables
     for n, (g, t) in enumerate(zip([1, 2, 6, 20, 70], [1, 2, 6, 22, 90]), start=1):

@@ -15,7 +15,6 @@ from graftwood.forest import (
     OrderedForest,
     OrderedTree,
     admissible_cuts,
-    ancestor_map,
     concat,
     cut_split,
     format_forest,
@@ -25,6 +24,7 @@ from graftwood.forest import (
     parse_plane_tree,
     rgraft_basis,
     rightmost_leaf_label,
+    rightmost_path,
     shape_of,
     standardize,
 )
@@ -146,9 +146,13 @@ def _oracle_cuts(forest):
 )
 def test_cuts_match_brute_force(text):
     f = parse_forest(text)
-    got = admissible_cuts(f)
-    assert len(got) == len(set(got))
-    assert set(got) == _oracle_cuts(f)
+    assert admissible_cuts(f) == tuple(sorted(_oracle_cuts(f), key=sorted))
+
+
+def test_cuts_match_brute_force_on_every_g_forest():
+    for n in range(1, 6):
+        for f in generate_set("G", n):
+            assert admissible_cuts(f) == tuple(sorted(_oracle_cuts(f), key=sorted)), f.text
 
 
 def test_cut_counts_pinned():
@@ -205,18 +209,27 @@ def test_cut_split_frozen(host, cut, lea, roo):
 
 def test_cut_split_rejects_non_antichain():
     f = parse_forest("2[4[1] 3]")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^cut is not an antichain: \[2, 4\]$"):
         cut_split(f, frozenset({2, 4}))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^cut contains labels outside the forest$"):
         cut_split(f, frozenset({5}))
+    with pytest.raises(ValueError, match="^cut contains labels outside the forest$"):
+        cut_split(f, frozenset({1, 5}))
 
 
-def test_ancestor_map():
-    anc = ancestor_map(parse_forest("2[4[1] 3]"))
-    assert anc[2] == frozenset()
-    assert anc[4] == {2}
-    assert anc[1] == {2, 4}
-    assert anc[3] == {2}
+def test_rightmost_path():
+    for text, path in [
+        ("1", (1,)),
+        ("1 2[3]", (2, 3)),
+        ("2[4[1] 3]", (2, 3)),
+        ("3[1[2] 4] 5[6[7] 8[9]]", (5, 8, 9)),
+        ("1[2[3[4]]]", (1, 2, 3, 4)),
+    ]:
+        f = parse_forest(text)
+        assert rightmost_path(f) == path
+        assert rightmost_leaf_label(f) == path[-1]
+    with pytest.raises(ValueError, match="no leaves"):
+        rightmost_path(EMPTY_FOREST)
 
 
 # --- concatenation --------------------------------------------------------
