@@ -1,9 +1,9 @@
 """Linear spans of forests, the cut coproduct and its variants, the antipode.
 
-Elements are finite rational combinations of ordered forests; tensors are
-combinations of forest pairs.  The coproduct of a forest sums, over its
-admissible cuts, the extracted sub-forest tensor the remainder.  Variants
-restrict which cuts contribute:
+Elements are finite combinations of ordered forests with exact coefficients;
+tensors are combinations of forest pairs.  The coproduct of a forest sums,
+over its admissible cuts, the extracted sub-forest tensor the remainder.
+Variants restrict which cuts contribute:
 
 * ``full``      all cuts,
 * ``reduced``   neither the empty cut nor the total one,
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
 from .families import b_minus, b_plus, generate_words
 from .forest import (
@@ -47,16 +48,28 @@ __all__ = [
 
 
 def _clean(terms: dict) -> dict:
+    """Drop zero terms; keep ``int`` coefficients, make any other scalar an
+    exact ``Fraction``."""
     out = {}
     for key, coeff in terms.items():
-        coeff = Fraction(coeff)
+        if type(coeff) is not int:
+            coeff = Fraction(coeff)
         if coeff:
             out[key] = coeff
     return out
 
 
+def _sum(pairs) -> dict:
+    """Add (key, coefficient) pairs by key; zero sums stay for ``_clean``."""
+    out: dict = {}
+    for key, c in pairs:
+        out[key] = out.get(key, 0) + c
+    return out
+
+
 class _Combination:
-    """A finite rational combination of hashable keys.
+    """A finite combination of hashable keys with exact coefficients: plain
+    ``int``s, and exact rationals only where a caller scales by a non-integer.
 
     Subclasses say how two keys multiply (``_times``), where a term sorts
     (``_order``) and how a term prints (``_show``).
@@ -76,10 +89,7 @@ class _Combination:
         return not self.terms
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, Fraction(0)) + c
-        return type(self)(out)
+        return type(self)(_sum(chain(self.terms.items(), other.terms.items())))
 
     def __neg__(self):
         return type(self)({key: -c for key, c in self.terms.items()})
@@ -90,6 +100,8 @@ class _Combination:
     def __mul__(self, other):
         if isinstance(other, type(self)):
             return _bilinear(self._times, self, other)
+        if isinstance(other, str):  # an int coefficient times a str repeats it
+            return NotImplemented
         return type(self)({key: c * other for key, c in self.terms.items()})
 
     def __rmul__(self, scalar):
@@ -112,27 +124,27 @@ class _Combination:
 
 def _bilinear(op, x: _Combination, y: _Combination) -> _Combination:
     """Extend an operation on keys bilinearly; keys it maps to None drop."""
-    out: dict = {}
-    for key, c in x.terms.items():
-        for key2, d in y.terms.items():
-            res = op(key, key2)
-            if res is not None:
-                out[res] = out.get(res, Fraction(0)) + c * d
-    return type(x)(out)
+    pairs = ((op(key, key2), c * d) for key, c in x.terms.items() for key2, d in y.terms.items())
+    return type(x)(_sum(pair for pair in pairs if pair[0] is not None))
+
+
+def _linear(op, x: _Combination, cls) -> _Combination:
+    """Extend a map from keys to combinations of type ``cls`` linearly."""
+    return cls(_sum((key, c * d) for k, c in x.terms.items() for key, d in op(k).terms.items()))
 
 
 class AlgebraElement(_Combination):
-    """A finite rational combination of ordered forests."""
+    """A finite combination of ordered forests."""
 
     __slots__ = ()
 
     @classmethod
     def unit(cls) -> "AlgebraElement":
-        return cls({EMPTY_FOREST: Fraction(1)})
+        return cls({EMPTY_FOREST: 1})
 
     @classmethod
     def of(cls, forest: OrderedForest, coeff=1) -> "AlgebraElement":
-        return cls({forest: Fraction(coeff)})
+        return cls({forest: coeff})
 
     _times = staticmethod(concat)
 
@@ -146,13 +158,13 @@ class AlgebraElement(_Combination):
 
 
 class Tensor2Element(_Combination):
-    """A finite rational combination of forest pairs."""
+    """A finite combination of forest pairs."""
 
     __slots__ = ()
 
     @classmethod
     def of(cls, left: OrderedForest, right: OrderedForest, coeff=1) -> "Tensor2Element":
-        return cls({(left, right): Fraction(coeff)})
+        return cls({(left, right): coeff})
 
     @staticmethod
     def _times(p, q):
@@ -171,11 +183,10 @@ class Tensor2Element(_Combination):
 
     def map_legs(self, left=None, right=None) -> "Tensor2Element":
         """Apply forest-to-forest maps to the legs of every term."""
-        out: dict = {}
-        for (a, b), c in self.terms.items():
-            pair = (left(a) if left else a, right(b) if right else b)
-            out[pair] = out.get(pair, Fraction(0)) + c
-        return Tensor2Element(out)
+        terms = self.terms.items()
+        return Tensor2Element(
+            _sum(((left(a) if left else a, right(b) if right else b), c) for (a, b), c in terms)
+        )
 
 
 def as_element(x) -> AlgebraElement:
@@ -191,9 +202,9 @@ def product(a, b) -> AlgebraElement:
     return _bilinear(concat, as_element(a), as_element(b))
 
 
-def counit(x) -> Fraction:
-    """Coefficient of the empty forest."""
-    return as_element(x).terms.get(EMPTY_FOREST, Fraction(0))
+def counit(x):
+    """Coefficient of the empty forest (``0`` when it is absent)."""
+    return as_element(x).terms.get(EMPTY_FOREST, 0)
 
 
 COPRODUCT_VARIANTS = (
@@ -225,7 +236,7 @@ def _forest_coproduct(forest: OrderedForest, variant: str) -> Tensor2Element:
     rootset = frozenset(roots)
     if variant in ("precRed", "succRed") and not forest.is_empty:
         above_leaf = frozenset(rightmost_path(forest))
-    out: dict = {}
+    pairs = []
     for cut in admissible_cuts(forest):
         if variant == "reduced":
             if not cut or cut == rootset:
@@ -242,9 +253,8 @@ def _forest_coproduct(forest: OrderedForest, variant: str) -> Tensor2Element:
         elif variant == "succRed":
             if not cut or cut == rootset or (cut & above_leaf):
                 continue
-        pair = cut_split(forest, cut)
-        out[pair] = out.get(pair, Fraction(0)) + 1
-    return Tensor2Element(out)
+        pairs.append((cut_split(forest, cut), 1))
+    return Tensor2Element(_sum(pairs))
 
 
 def coproduct(x, variant: str = "full") -> Tensor2Element:
@@ -252,37 +262,28 @@ def coproduct(x, variant: str = "full") -> Tensor2Element:
     variant = _normalize_variant(variant)
     if isinstance(x, OrderedForest):
         return _forest_coproduct(x, variant)
-    out = Tensor2Element.zero()
-    for f, c in as_element(x).terms.items():
-        out = out + _forest_coproduct(f, variant) * c
-    return out
+    return _linear(lambda f: _forest_coproduct(f, variant), as_element(x), Tensor2Element)
 
 
-Tensor3Terms = dict
-
-
-def expand_left(t2: Tensor2Element, variant: str = "full") -> Tensor3Terms:
+def expand_left(t2: Tensor2Element, variant: str = "full") -> dict:
     """Apply a coproduct variant to the left legs: terms (a', a'', b)."""
     return _expand(t2, variant, "left")
 
 
-def expand_right(t2: Tensor2Element, variant: str = "full") -> Tensor3Terms:
+def expand_right(t2: Tensor2Element, variant: str = "full") -> dict:
     """Apply a coproduct variant to the right legs: terms (a, b', b'')."""
     return _expand(t2, variant, "right")
 
 
-def _expand(t2: Tensor2Element, variant: str, side: str) -> Tensor3Terms:
-    out: Tensor3Terms = {}
+def _expand(t2: Tensor2Element, variant: str, side: str) -> dict:
     variant = _normalize_variant(variant)
-    for (a, b), c in t2.terms.items():
-        for (x, y), d in _forest_coproduct(a if side == "left" else b, variant).terms.items():
-            key = (x, y, b) if side == "left" else (a, x, y)
-            value = out.get(key, Fraction(0)) + c * d
-            if value:
-                out[key] = value
-            else:
-                out.pop(key, None)
-    return out
+    return _clean(
+        _sum(
+            ((x, y, b) if side == "left" else (a, x, y), c * d)
+            for (a, b), c in t2.terms.items()
+            for (x, y), d in _forest_coproduct(a if side == "left" else b, variant).terms.items()
+        )
+    )
 
 
 DEFAULT_ANTIPODE_DEGREE = 5
@@ -300,22 +301,19 @@ def antipode(x, max_degree: int = DEFAULT_ANTIPODE_DEGREE) -> AlgebraElement:
                 "antipode guarded to degree <= %d (got %d); pass max_degree to raise"
                 % (max_degree, f.degree)
             )
-    out = AlgebraElement.zero()
-    for f, c in x.terms.items():
-        out = out + _antipode_forest(f) * c
-    return out
+    return _linear(_antipode_forest, x, AlgebraElement)
 
 
 @lru_cache(maxsize=None)
 def _antipode_forest(forest: OrderedForest) -> AlgebraElement:
     if forest.is_empty:
         return AlgebraElement.unit()
-    acc = {forest: Fraction(-1)}
-    for (lea, roo), c in _forest_coproduct(forest, "reduced").terms.items():
-        for g, d in _antipode_forest(lea).terms.items():
-            h = concat(g, roo)
-            acc[h] = acc.get(h, Fraction(0)) - c * d
-    return AlgebraElement(acc)
+    terms = (
+        (concat(g, roo), -c * d)
+        for (lea, roo), c in _forest_coproduct(forest, "reduced").terms.items()
+        for g, d in _antipode_forest(lea).terms.items()
+    )
+    return AlgebraElement(_sum(chain([(forest, -1)], terms)))
 
 
 def prim_tot_dimension(n: int, max_degree: int = DEFAULT_ANTIPODE_DEGREE) -> int:
@@ -349,12 +347,13 @@ def _sparse_rank(rows: list[dict]) -> int:
             pivot = pivots.get(col)
             if pivot is None:
                 lead = row[col]
-                pivots[col] = {k: v / lead for k, v in row.items()}
+                # Fraction(v, lead), not v / lead: int rows would give floats
+                pivots[col] = {k: Fraction(v, lead) for k, v in row.items()}
                 rank += 1
                 break
             factor = row[col]
             for k, v in pivot.items():
-                new = row.get(k, Fraction(0)) - factor * v
+                new = row.get(k, 0) - factor * v
                 if new:
                     row[k] = new
                 else:

@@ -10,9 +10,11 @@ library guards) with ``max_degree`` or the GRAFTWOOD_MAX_DEGREE variable.
 from __future__ import annotations
 
 import os
+from functools import partial
 
 from .algebra import (
     AlgebraElement,
+    _linear,
     antipode,
     check_b_operator_coproduct,
     coproduct,
@@ -138,20 +140,19 @@ def _coassociative(f: OrderedForest) -> bool:
 
 
 def _counit_law(f: OrderedForest) -> bool:
-    lhs = AlgebraElement.zero()
-    rhs = AlgebraElement.zero()
-    for (a, b), c in coproduct(f).terms.items():
-        lhs = lhs + AlgebraElement.of(b) * (counit(a) * c)
-        rhs = rhs + AlgebraElement.of(a) * (counit(b) * c)
+    """(eps (x) id) and (id (x) eps) of the coproduct both give f back."""
+    t2 = coproduct(f)
+    lhs = _linear(lambda pair: AlgebraElement.of(pair[1]) * counit(pair[0]), t2, AlgebraElement)
+    rhs = _linear(lambda pair: AlgebraElement.of(pair[0]) * counit(pair[1]), t2, AlgebraElement)
     return lhs == rhs == AlgebraElement.of(f)
 
 
 def _antipode_law(f: OrderedForest, max_degree: int) -> bool:
-    lhs = AlgebraElement.zero()
-    rhs = AlgebraElement.zero()
-    for (a, b), c in coproduct(f).terms.items():
-        lhs = lhs + product(antipode(a, max_degree=max_degree), b) * c
-        rhs = rhs + product(a, antipode(b, max_degree=max_degree)) * c
+    """m(S (x) id) and m(id (x) S) of the coproduct both give eps(f) 1."""
+    s = partial(antipode, max_degree=max_degree)
+    t2 = coproduct(f)
+    lhs = _linear(lambda pair: product(s(pair[0]), pair[1]), t2, AlgebraElement)
+    rhs = _linear(lambda pair: product(pair[0], s(pair[1])), t2, AlgebraElement)
     expected = AlgebraElement.unit() * counit(f)
     return lhs == expected and rhs == expected
 

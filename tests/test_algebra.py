@@ -5,8 +5,10 @@ from fractions import Fraction
 import pytest
 
 from graftwood.algebra import (
+    COPRODUCT_VARIANTS,
     AlgebraElement,
     Tensor2Element,
+    _sparse_rank,
     antipode,
     check_b_operator_coproduct,
     coproduct,
@@ -78,6 +80,93 @@ def test_counit():
     assert counit(AlgebraElement.unit()) == 1
     assert counit(P("1[2]")) == 0
     assert counit(elem(("1", 5)) + 2 * AlgebraElement.unit()) == 2
+
+
+# --- coefficients and printed forms ---------------------------------------------
+
+
+def test_coefficients_from_integer_inputs_are_int():
+    for n in range(1, 5):
+        for f in generate_set("G", n):
+            for variant in COPRODUCT_VARIANTS:
+                for c in coproduct(f, variant).terms.values():
+                    assert type(c) is int, (f.text, variant, c)
+    for n in range(6):
+        for f in generate_words("T", n):
+            for c in antipode(f).terms.values():
+                assert type(c) is int, (f.text, c)
+
+
+def test_non_integer_scalars_stay_exact():
+    f = P("1[2]")
+    assert AlgebraElement.of(f, 0.5).terms[f] == Fraction(1, 2)
+    assert type(AlgebraElement.of(f, 0.5).terms[f]) is Fraction
+    assert AlgebraElement.of(f, "1/3").terms[f] == Fraction(1, 3)
+    assert type(AlgebraElement.of(f, True).terms[f]) is Fraction
+    assert AlgebraElement.of(f, Fraction(1, 2)) * 2 == AlgebraElement.of(f)
+    assert (AlgebraElement.of(f) * 0.25).terms[f] == Fraction(1, 4)
+    for scalar in ("2", ["2"]):
+        with pytest.raises(TypeError):
+            AlgebraElement.of(f, 3) * scalar
+        with pytest.raises(TypeError):
+            scalar * AlgebraElement.of(f, 3)
+
+
+def test_linear_maps_scale_fraction_coefficients():
+    f, g = P("2[1] 3"), P("1[2[3]]")
+    x = AlgebraElement.of(f, Fraction(1, 3)) + AlgebraElement.of(g, -2)
+    for variant in COPRODUCT_VARIANTS:
+        expected = coproduct(f, variant) * Fraction(1, 3) + coproduct(g, variant) * -2
+        assert coproduct(x, variant) == expected, variant
+    assert antipode(x) == antipode(f) * Fraction(1, 3) + antipode(g) * -2
+
+
+ANTIPODE_REPRS = {
+    "()": "1*()",
+    "1": "-1*1",
+    "1 2": "1*1 2",
+    "1[2]": "1*1 2 + -1*1[2]",
+    "2[1]": "1*1 2 + -1*2[1]",
+    "1 2 3": "-1*1 2 3",
+    "1 2[3]": "-1*1 2 3 + 1*1[2] 3",
+    "1 3[2]": "-1*1 2 3 + 1*2[1] 3",
+    "1[2 3]": "-1*1 2 3 + 2*1 2[3] + -1*1[2 3]",
+    "1[2] 3": "-1*1 2 3 + 1*1 2[3]",
+    "1[3[2]]": "-1*1 2 3 + 1*1 2[3] + -1*1[3[2]] + 1*2[1] 3",
+    "2[1 3]": "-1*1 2 3 + 1*1 2[3] + 1*1 3[2] + -1*2[1 3]",
+    "2[1] 3": "-1*1 2 3 + 1*1 3[2]",
+    "3[1 2]": "-1*1 2 3 + 2*1 3[2] + -1*3[1 2]",
+    "3[1[2]]": "-1*1 2 3 + 1*1 3[2] + 1*1[2] 3 + -1*3[1[2]]",
+    "3[2[1]]": "-1*1 2 3 + 1*1 3[2] + 1*2[1] 3 + -1*3[2[1]]",
+}
+
+_CATERPILLAR_REDUCED = (
+    "1*(1 (x) 1[3 2]) + 1*(1 (x) 2[3[1]]) + 1*(1 2 (x) 1[2]) + 1*(2[1] (x) 1[2])"
+    " + 1*(3[1] 2 (x) 1)"
+)
+_CATERPILLAR_ONE_SIDED = "1*(() (x) 2[4[1] 3]) + " + _CATERPILLAR_REDUCED
+
+CATERPILLAR_REPRS = {
+    "full": "1*(2[4[1] 3] (x) ()) + " + _CATERPILLAR_ONE_SIDED,
+    "reduced": _CATERPILLAR_REDUCED,
+    "leftRoot": _CATERPILLAR_ONE_SIDED,
+    "rightRoot": _CATERPILLAR_ONE_SIDED,
+    "precRed": "1*(1 (x) 2[3[1]]) + 1*(1 2 (x) 1[2]) + 1*(3[1] 2 (x) 1)",
+    "succRed": "1*(1 (x) 1[3 2]) + 1*(2[1] (x) 1[2])",
+}
+
+
+def test_printed_forms_are_pinned():
+    words = [f for n in range(4) for f in generate_words("T", n)]
+    assert {f.text: repr(antipode(f)) for f in words} == ANTIPODE_REPRS
+    g = P("2[4[1] 3]")
+    assert {v: repr(coproduct(g, v)) for v in COPRODUCT_VARIANTS} == CATERPILLAR_REPRS
+    x = AlgebraElement.of(P("1[2]"), Fraction(1, 2)) - AlgebraElement.of(P("1 2"), 3)
+    assert repr(x) == "-3*1 2 + 1/2*1[2]"
+    assert repr(coproduct(x)) == (
+        "-3*(1 2 (x) ()) + 1/2*(1[2] (x) ()) + -3*(() (x) 1 2) + 1/2*(() (x) 1[2])"
+        " + -11/2*(1 (x) 1)"
+    )
 
 
 # --- the coproduct ------------------------------------------------------------
@@ -234,6 +323,12 @@ def test_antipode_degree_guard():
 
 def test_prim_tot_dimension_small():
     assert [prim_tot_dimension(n) for n in range(1, 5)] == [1, 1, 2, 6]
+
+
+def test_sparse_rank_is_exact_on_int_rows():
+    # 1 - 49 * (1/49) is not 0 in floating point
+    assert _sparse_rank([{0: 49, 1: 1}, {0: 49, 1: 1}]) == 1
+    assert _sparse_rank([{0: 49, 1: 1}, {0: 7, 1: 3}]) == 2
 
 
 def test_prim_tot_guard():
