@@ -18,6 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
+from math import gcd
 
 from .families import b_minus, b_plus, generate_words
 from .forest import (
@@ -89,6 +90,8 @@ class _Combination:
         return not self.terms
 
     def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
         return type(self)(_sum(chain(self.terms.items(), other.terms.items())))
 
     def __neg__(self):
@@ -338,27 +341,34 @@ def prim_tot_dimension(n: int, max_degree: int = DEFAULT_ANTIPODE_DEGREE) -> int
 
 
 def _sparse_rank(rows: list[dict]) -> int:
+    """Integer rows, exact rank over Q, fraction-free, sparsest first.
+
+    Shortest rows first, each reduced at its least column by
+    ``row <- (a/g)*row - (b/g)*pivot`` (``a`` the pivot's lead, ``b`` the
+    row's entry, ``g = gcd(a, b)``).  A row left nonzero is stored as the
+    pivot of that column, divided by the gcd of its entries, lead positive.
+    """
     pivots: dict = {}
-    rank = 0
-    for row in rows:
-        row = dict(row)
+    for row in sorted(rows, key=len):
+        row = {k: v for k, v in row.items() if v}
         while row:
             col = min(row)
             pivot = pivots.get(col)
             if pivot is None:
-                lead = row[col]
-                # Fraction(v, lead), not v / lead: int rows would give floats
-                pivots[col] = {k: Fraction(v, lead) for k, v in row.items()}
-                rank += 1
+                g = gcd(*row.values()) * (1 if row[col] > 0 else -1)
+                pivots[col] = {k: v // g for k, v in row.items()}
                 break
-            factor = row[col]
+            g = gcd(pivot[col], row[col])
+            a, b = pivot[col] // g, row[col] // g
+            if a != 1:
+                row = {k: a * v for k, v in row.items()}
             for k, v in pivot.items():
-                new = row.get(k, 0) - factor * v
+                new = row.get(k, 0) - b * v
                 if new:
                     row[k] = new
                 else:
                     row.pop(k, None)
-    return rank
+    return len(pivots)
 
 
 def check_b_operator_coproduct(forest: OrderedForest) -> bool:

@@ -1,5 +1,7 @@
 """Span arithmetic, the cut coproduct and variants, antipode, primitives."""
 
+import copy
+import random
 from fractions import Fraction
 
 import pytest
@@ -58,6 +60,18 @@ def test_element_basics():
     assert (3 * b) == elem(("1 2", 3))
     assert AlgebraElement.unit().terms == {EMPTY_FOREST: 1}
     assert repr(AlgebraElement.zero()) == "0"
+
+
+def test_sums_take_only_the_same_type():
+    f = P("1[2]")
+    x = AlgebraElement.of(f, 3) + AlgebraElement.of(P("1 2"), -1)
+    for other in (Tensor2Element.of(f, f), 1):
+        with pytest.raises(TypeError):
+            x + other
+        with pytest.raises(TypeError):
+            x - other
+    assert x - x == AlgebraElement.zero()
+    assert coproduct(f) - coproduct(f) == Tensor2Element.zero()
 
 
 def test_product_concatenates_and_shifts():
@@ -329,6 +343,64 @@ def test_sparse_rank_is_exact_on_int_rows():
     # 1 - 49 * (1/49) is not 0 in floating point
     assert _sparse_rank([{0: 49, 1: 1}, {0: 49, 1: 1}]) == 1
     assert _sparse_rank([{0: 49, 1: 1}, {0: 7, 1: 3}]) == 2
+
+
+def test_prim_tot_dimension_degree_6():
+    assert prim_tot_dimension(6, max_degree=6) == 90
+
+
+def _dense_rank(rows):
+    """Rank over Q by textbook Gaussian elimination on a dense Fraction matrix."""
+    cols = sorted({k for row in rows for k in row})
+    matrix = [[Fraction(row.get(k, 0)) for k in cols] for row in rows]
+    rank = 0
+    for j in range(len(cols)):
+        lead = next((i for i in range(rank, len(matrix)) if matrix[i][j]), None)
+        if lead is None:
+            continue
+        matrix[rank], matrix[lead] = matrix[lead], matrix[rank]
+        for i in range(rank + 1, len(matrix)):
+            factor = matrix[i][j] / matrix[rank][j]
+            matrix[i] = [a - factor * b for a, b in zip(matrix[i], matrix[rank])]
+        rank += 1
+    return rank
+
+
+def _random_int_rows(rng):
+    """Sparse int rows over a few columns, with zero rows, duplicate and
+    proportional rows, negative leads and entries near 10**30."""
+    def entry():
+        small = rng.choice([-5, -3, -2, -1, 1, 2, 3, 4, 7])
+        return small * 10**30 + rng.randint(-3, 3) if rng.random() < 0.2 else small
+
+    ncols = rng.randint(1, 8)
+    rows = [
+        {k: entry() for k in rng.sample(range(ncols), rng.randint(1, ncols))}
+        for _ in range(rng.randint(0, 8))
+    ]
+    for _ in range(rng.randint(0, 4)):
+        kind = rng.choice(["zero", "duplicate", "proportional"])
+        if kind == "zero" or not rows:
+            rows.append(rng.choice([{}, {0: 0}]))
+        else:
+            scale = 1 if kind == "duplicate" else rng.choice([-10**30, -6, -1, 2, 5])
+            rows.append({k: scale * v for k, v in rng.choice(rows).items()})
+    rng.shuffle(rows)
+    return rows
+
+
+def test_sparse_rank_matches_dense_fraction_elimination():
+    rng = random.Random(20110607)
+    for _ in range(400):
+        rows = _random_int_rows(rng)
+        before = copy.deepcopy(rows)
+        rank = _sparse_rank(rows)
+        assert rows == before
+        assert rank == _dense_rank(rows), rows
+        for _ in range(3):
+            shuffled = rows[:]
+            rng.shuffle(shuffled)
+            assert _sparse_rank(shuffled) == rank, shuffled
 
 
 def test_prim_tot_guard():
