@@ -45,7 +45,8 @@ DEGREE_ENV_VAR = "GRAFTWOOD_MAX_DEGREE"
 
 def resolve_degree(suite: str, max_degree: int | None = None) -> int:
     """Effective bound for a suite: explicit argument, then the environment
-    override, then the per-suite default."""
+    override, then the per-suite default.  A bound above a capped suite's
+    cap raises ValueError."""
     if suite not in _SUITES:
         raise ValueError("unknown suite %r (expected one of: %s)" % (suite, ", ".join(SUITES)))
     if max_degree is None:
@@ -55,10 +56,15 @@ def resolve_degree(suite: str, max_degree: int | None = None) -> int:
                 max_degree = int(raw)
             except ValueError:
                 raise ValueError("%s must be an integer, got %r" % (DEGREE_ENV_VAR, raw))
+    default, _, capped = _SUITES[suite]
     if max_degree is None:
-        return _SUITES[suite][0]
+        return default
     if max_degree < 1:
         raise ValueError("max degree must be positive")
+    if capped and max_degree > default:
+        raise ValueError(
+            "suite %s checks degrees up to its cap of %d, got %d" % (suite, default, max_degree)
+        )
     return max_degree
 
 
@@ -172,8 +178,7 @@ def _suite_hopf(n: int) -> list[dict]:
         rows.append(_row(label, bad, passed % len(forests), "fails on %s"))
 
     # Products of signature forests are the words over G trees (equal layer
-    # by layer through degree 6, this row's cap); "word-basis" is B.
-    deg = min(n, 6)
+    # by layer through degree 6, the suite's cap); "word-basis" is B.
     for label, selector in (
         ("signature-products", "G"),
         ("word-basis", "T"),
@@ -181,7 +186,7 @@ def _suite_hopf(n: int) -> list[dict]:
         ("layer-2", "G2"),
         ("layer-3", "G3"),
     ):
-        basis = _words(selector, deg)
+        basis = _words(selector, n)
         word = _is_word(selector)
         failures = _leaks(basis, lambda lea, roo: word(lea) and word(roo))
         passed = "%d forests, all factors stay inside" % len(basis)
@@ -197,7 +202,7 @@ def _suite_hopf(n: int) -> list[dict]:
         layer, branch = "G%d" % i, _is_word("G%d" % (i - 1))
         trees = [
             f
-            for d in range(1, deg + 1)
+            for d in range(1, n + 1)
             for f in sorted(generate_set(layer, d), key=lambda x: x.text)
             if f.is_tree
         ]
@@ -249,9 +254,8 @@ def _suite_counts(n: int) -> list[dict]:
         ]
         rows.append(_row("table-" + series_id, bad, "degrees 1..%d agree" % deg))
 
-    deg = min(n, ENUMERATION_MAX_DEGREE)
     failures = []
-    for k in range(1, deg + 1):
+    for k in range(1, n + 1):
         chains = ladders(k)
         expected_sigs = {"+" * i + "-" * (k - i) for i in range(1, k + 1)}
         found = {
@@ -267,7 +271,7 @@ def _suite_counts(n: int) -> list[dict]:
             and sigs == expected_sigs
         ):
             failures.append("degree %d" % k)
-    rows.append(_row("chain-census", failures, "degrees 1..%d, one chain per signature" % deg))
+    rows.append(_row("chain-census", failures, "degrees 1..%d, one chain per signature" % n))
 
     cases = [
         (shape, family)
@@ -297,15 +301,14 @@ def _is_chain(tree) -> bool:
 
 
 def _suite_primtot(n: int) -> list[dict]:
-    deg = min(n, _ceiling("D_dims"))
-    report = verify_against_enumeration("D_dims", deg)
+    report = verify_against_enumeration("D_dims", n)
     bad = [
         "degree %(degree)d expected %(expected)d, got %(enumerated)d" % r
         for r in report["rows"]
         if not r["match"]
     ]
     expected = [r["expected"] for r in report["rows"]]
-    rows = [_row("kernel-dimensions", bad, "degrees 1..%d match %s" % (deg, expected))]
+    rows = [_row("kernel-dimensions", bad, "degrees 1..%d match %s" % (n, expected))]
 
     n_max = 24
     fb = series_coefficients("B_forests", n_max)
@@ -322,39 +325,40 @@ def _suite_primtot(n: int) -> list[dict]:
 
 
 def _suite_closure(n: int) -> list[dict]:
-    deg = min(n, 6)
     rows = []
     for label, ops, selector in (
         ("concat+lgraft+rgraft", ("concat", "lgraft", "rgraft"), "T"),
         ("concat+nwarrow", ("concat", "nwarrow"), "Bl"),
         ("concat+lgraft", ("concat", "lgraft"), "Bl"),
     ):
-        got = generate_closure(ops, deg)
-        want = frozenset(_words(selector, deg))
+        got = generate_closure(ops, n)
+        want = frozenset(_words(selector, n))
         missing = sorted(f.text for f in want - got)[:3] or "-"
         extra = sorted(f.text for f in got - want)[:3] or "-"
         failures = [] if got == want else ["missing %s / extra %s" % (missing, extra)]
-        rows.append(_row(label, failures, "%d forests, degrees 1..%d" % (len(got), deg)))
+        rows.append(_row(label, failures, "%d forests, degrees 1..%d" % (len(got), n)))
     return rows
 
 
-# Each suite by name: its default degree and its runner.
+# Each suite by name: its default degree, its runner, and whether that degree
+# is also its cap, the highest degree its rows check (the sweeps have none).
 _SUITES = {
-    "hopf": (6, _suite_hopf),
-    "duplicial": (6, _sweep((3, ("E1a", "E1b", "E1c")))),
+    "hopf": (6, _suite_hopf, True),
+    "duplicial": (6, _sweep((3, ("E1a", "E1b", "E1c"))), False),
     "dendriform": (
         5,
         _sweep(
             (1, ("E2a", "E2b", "E2c")),
             (2, ("E3prec", "E3succ", "E4prec", "E4succ", "DELTASUCC", "DELTAPREC")),
         ),
+        False,
     ),
-    "leftgraft": (6, _sweep((3, ("LGa", "LGb")))),
-    "rightgraft": (6, _sweep((3, ("RGa", "RGb")))),
-    "bigraft": (6, _sweep((3, ("BIGRAFT",)))),
-    "counts": (8, _suite_counts),
-    "primtot": (5, _suite_primtot),
-    "closure": (6, _suite_closure),
+    "leftgraft": (6, _sweep((3, ("LGa", "LGb"))), False),
+    "rightgraft": (6, _sweep((3, ("RGa", "RGb"))), False),
+    "bigraft": (6, _sweep((3, ("BIGRAFT",))), False),
+    "counts": (ENUMERATION_MAX_DEGREE, _suite_counts, True),
+    "primtot": (_ceiling("D_dims"), _suite_primtot, True),
+    "closure": (6, _suite_closure, True),
 }
 
 SUITES = tuple(_SUITES)

@@ -18,7 +18,7 @@ import json
 import sys
 from typing import Sequence
 
-from .algebra import coproduct
+from .algebra import _VARIANT_ALIASES, COPRODUCT_VARIANTS, coproduct
 from .checks import SUITES, run_suite
 from .families import (
     NotInFamilyError,
@@ -30,7 +30,9 @@ from .forest import ForestSyntaxError, parse_forest, parse_plane_tree
 from .grafts import GRAFT_OPS, _basis_op
 from .series import series_coefficients, verify_against_enumeration
 
-COPRODUCT_CHOICES = ("full", "reduced", "left-root", "right-root", "prec", "succ")
+# Each coproduct variant in the library's order, under its command-line alias.
+_ALIAS_OF = {variant: alias for alias, variant in _VARIANT_ALIASES.items()}
+COPRODUCT_CHOICES = tuple(_ALIAS_OF.get(v, v) for v in COPRODUCT_VARIANTS)
 
 
 def _build_parser() -> argparse.ArgumentParser:

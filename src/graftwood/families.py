@@ -104,7 +104,7 @@ def signature_of(forest: OrderedForest) -> str:
     if forest.is_empty:
         raise NotInFamilyError("the empty forest has no signature")
     n = forest.degree
-    letters = _peel_letters(_tuples(forest.trees), n)
+    letters = _peel_letters(forest.trees, n)
     if len(letters) < n - 1:
         raise NotInFamilyError(
             "vertex %d is not removable in %s" % (n - len(letters), forest.text)
@@ -259,41 +259,33 @@ def _words_over(selector: str, n: int) -> frozenset[OrderedForest]:
 
 
 # --- membership -------------------------------------------------------------
-#
-# The peels run on trees written as nested (label, children) tuples: the
-# oracle labels its shapes straight into that form, and a forest is
-# converted once on the way in.
 
 
-def _tuples(trees: tuple[OrderedTree, ...]) -> tuple:
-    return tuple((t.label, _tuples(t.children)) for t in trees)
-
-
-def _peel_letters(trees: tuple, n: int) -> list[str]:
+def _peel_letters(trees: tuple[OrderedTree, ...], n: int) -> list[str]:
     """Remove the labels n, n-1, ..., 2 in turn, one letter per removal: "-"
     unwraps a lone root, "+" drops a bare last tree or unhangs the last
     child of the last root.  Stops at the first label no move removes, so
     the forest lies in G exactly when n - 1 letters come back."""
     letters = []
     for k in range(n, 1, -1):
-        if len(trees) == 1 and trees[0][0] == k:
+        if len(trees) == 1 and trees[0].label == k:
             letters.append("-")
-            trees = trees[0][1]
+            trees = trees[0].children
             continue
         label, kids = trees[-1]
         if label == k and not kids:
             trees = trees[:-1]
-        elif kids and kids[-1][0] == k:
-            trees = trees[:-1] + ((label, kids[:-1]),) + kids[-1][1]
+        elif kids and kids[-1].label == k:
+            trees = trees[:-1] + (OrderedTree(label, kids[:-1]),) + kids[-1].children
         else:
             break
         letters.append("+")
     return letters
 
 
-def _span(t) -> tuple[int, int, int]:
-    size, mn, mx = 1, t[0], t[0]
-    for c in t[1]:
+def _span(t: OrderedTree) -> tuple[int, int, int]:
+    size, mn, mx = 1, t.label, t.label
+    for c in t.children:
         s, m, x = _span(c)
         size += s
         mn = min(mn, m)
@@ -301,7 +293,7 @@ def _span(t) -> tuple[int, int, int]:
     return size, mn, mx
 
 
-def _tree_accepts(t, offset: int, size: int, top: str, moves: str) -> bool:
+def _tree_accepts(t: OrderedTree, offset: int, size: int, top: str, moves: str) -> bool:
     """Peel the top label of a tree whose labels are offset+1..offset+size
     by one of the ``top`` moves, then what is left as a word built by
     ``moves``."""
@@ -310,12 +302,13 @@ def _tree_accepts(t, offset: int, size: int, top: str, moves: str) -> bool:
     label, kids = t
     if label == offset + size:
         return "-" in top and _word_accepts(kids, offset, moves)
-    if kids and kids[-1][0] == offset + size:
-        return "+" in top and _word_accepts(((label, kids[:-1]),) + kids[-1][1], offset, moves)
+    if kids and kids[-1].label == offset + size:
+        rest = (OrderedTree(label, kids[:-1]),) + kids[-1].children
+        return "+" in top and _word_accepts(rest, offset, moves)
     return False
 
 
-def _word_accepts(trees, offset: int, moves: str) -> bool:
+def _word_accepts(trees: tuple[OrderedTree, ...], offset: int, moves: str) -> bool:
     """True when the trees carry consecutive label blocks from offset + 1 on
     and each block peels down by ``moves``."""
     for t in trees:
@@ -328,8 +321,8 @@ def _word_accepts(trees, offset: int, moves: str) -> bool:
     return True
 
 
-def _member(kind: str, i: int | None, trees: tuple, n: int) -> bool:
-    """Membership of a nonempty tuple forest of degree n (any forest for B)."""
+def _member(kind: str, i: int | None, trees: tuple[OrderedTree, ...], n: int) -> bool:
+    """Membership of the trees of a nonempty degree-n forest (any forest for B)."""
     if kind == "B":
         return _word_accepts(trees, 0, "+-")
     if kind in ("G", "Gi"):
@@ -344,18 +337,14 @@ def _member(kind: str, i: int | None, trees: tuple, n: int) -> bool:
                 "Br membership is decided against the generated closure, degree <= %d"
                 % CLOSURE_MAX_DEGREE
             )
-        return OrderedForest((_tree_of(trees[0]),)) in _closure_layer(_BR_OPS, n)
+        return OrderedForest(trees) in _closure_layer(_BR_OPS, n)
     top, below = _TREE_FAMILIES[kind]
     return _tree_accepts(trees[0], 0, n, top, _TREE_FAMILIES[below][0])
 
 
-def _tree_of(t) -> OrderedTree:
-    return OrderedTree(t[0], tuple(_tree_of(c) for c in t[1]))
-
-
 def is_basis_forest(forest: OrderedForest) -> bool:
     """True when the forest is a word over T trees (the empty word counts)."""
-    return _member("B", None, _tuples(forest.trees), forest.degree)
+    return _member("B", None, forest.trees, forest.degree)
 
 
 def membership(selector: str, forest: OrderedForest) -> bool:
@@ -367,7 +356,7 @@ def membership(selector: str, forest: OrderedForest) -> bool:
     kind, i = _parse_selector(selector)
     if forest.is_empty:
         return kind == "B"
-    return _member(kind, i, _tuples(forest.trees), forest.degree)
+    return _member(kind, i, forest.trees, forest.degree)
 
 
 # --- counting indexings of a shape ------------------------------------------
@@ -409,9 +398,9 @@ def _t_indexings(v: PlaneTree) -> int:
     return total
 
 
-def _labelled_tuple(shape: PlaneTree, it):
-    label = next(it)
-    return (label, tuple(_labelled_tuple(c, it) for c in shape.children))
+def _labelled(shape: PlaneTree, it) -> OrderedTree:
+    """The shape labelled in preorder by the labels ``it`` yields."""
+    return OrderedTree(next(it), tuple(_labelled(c, it) for c in shape.children))
 
 
 def oracle_count_indexings(shape: PlaneTree, family: str = "G") -> int:
@@ -426,7 +415,7 @@ def oracle_count_indexings(shape: PlaneTree, family: str = "G") -> int:
     kind, i = _parse_selector(family)
     count = 0
     for perm in itertools.permutations(range(1, n + 1)):
-        if _member(kind, i, (_labelled_tuple(shape, iter(perm)),), n):
+        if _member(kind, i, (_labelled(shape, iter(perm)),), n):
             count += 1
     return count
 

@@ -5,6 +5,10 @@ vertices carry each label 1..n exactly once.  Text form: a leaf prints as its
 label, an inner vertex as ``label[child child ...]``, sibling trees are
 separated by single spaces, and the empty forest prints as ``()``.
 
+Trees and shapes are immutable named tuples, ``(label, children)`` and
+``(children,)``, that hash and compare as plain tuples; a forest is a frozen
+dataclass over its trees that caches its degree and its text.
+
 Everything in this module is plain tree surgery; linear combinations live in
 :mod:`graftwood.algebra`.
 """
@@ -16,7 +20,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 
 class ForestSyntaxError(ValueError):
@@ -27,14 +31,13 @@ class BothUnitsError(ValueError):
     """Raised when a graft gets the empty forest on both sides."""
 
 
-@dataclass(frozen=True)
-class OrderedTree:
+class OrderedTree(NamedTuple):
     """A rooted plane tree with integer vertex labels."""
 
     label: int
     children: tuple["OrderedTree", ...] = ()
 
-    @cached_property
+    @property
     def degree(self) -> int:
         return 1 + sum(c.degree for c in self.children)
 
@@ -80,13 +83,12 @@ class OrderedForest:
         return self.text
 
 
-@dataclass(frozen=True)
-class PlaneTree:
+class PlaneTree(NamedTuple):
     """An unlabelled plane rooted tree (a shape)."""
 
     children: tuple["PlaneTree", ...] = ()
 
-    @cached_property
+    @property
     def degree(self) -> int:
         return 1 + sum(c.degree for c in self.children)
 

@@ -70,6 +70,20 @@ def test_resolve_degree_rejects(monkeypatch):
         resolve_degree("hopf", 0)
 
 
+def test_resolve_degree_caps(monkeypatch):
+    monkeypatch.delenv(DEGREE_ENV_VAR, raising=False)
+    for suite, cap in (("hopf", 6), ("counts", 8), ("primtot", 5), ("closure", 6)):
+        assert resolve_degree(suite) == resolve_degree(suite, cap) == cap
+        with pytest.raises(ValueError, match="cap of %d" % cap):
+            resolve_degree(suite, cap + 1)
+    # the sweeps have no cap; their universes grow with the bound
+    assert resolve_degree("bigraft", 9) == 9
+    monkeypatch.setenv(DEGREE_ENV_VAR, "6")
+    assert resolve_degree("hopf") == 6
+    with pytest.raises(ValueError, match="cap of 5"):
+        resolve_degree("primtot")
+
+
 def test_run_suite_structure():
     r = run_suite("bigraft", 4)
     assert r["suite"] == "bigraft"

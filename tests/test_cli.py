@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import graftwood
-from graftwood.cli import execute, main
+from graftwood.algebra import COPRODUCT_VARIANTS, _normalize_variant
+from graftwood.cli import COPRODUCT_CHOICES, execute, main
 from graftwood.forest import _MAX_DEPTH
 
 
@@ -177,10 +178,10 @@ ok   concat+nwarrow: 22 forests, degrees 1..4
 ok   concat+lgraft: 22 forests, degrees 1..4
 suite closure at degree 4: pass
 """,
-    ("primtot", 6): """\
+    ("primtot", 5): """\
 ok   kernel-dimensions: degrees 1..5 match [1, 1, 2, 6, 22]
 ok   series-quotient: quotient relation holds to degree 24
-suite primtot at degree 6: pass
+suite primtot at degree 5: pass
 """,
 }
 
@@ -234,6 +235,11 @@ def test_coproduct_variant_choices_rejected(run):
     code, _, err = run(["coproduct", "--variant", "sideways", "1"])
     assert code == 2
     assert "invalid choice" in err
+
+
+def test_coproduct_choices_are_the_library_variants_in_order():
+    assert COPRODUCT_CHOICES == ("full", "reduced", "left-root", "right-root", "prec", "succ")
+    assert tuple(map(_normalize_variant, COPRODUCT_CHOICES)) == COPRODUCT_VARIANTS
 
 
 # --- count -------------------------------------------------------------------
@@ -323,6 +329,31 @@ def test_check_failing_suite_exits_one(run):
     lines = out.splitlines()
     assert any(line.startswith("FAIL DELTAPREC") for line in lines)
     assert lines[-1] == "suite dendriform at degree 3: FAIL"
+
+
+# the degrees at which every row of a capped suite stops
+SUITE_CAPS = {"hopf": 6, "counts": 8, "primtot": 5, "closure": 6}
+
+
+@pytest.mark.parametrize("suite,cap", SUITE_CAPS.items())
+def test_check_refuses_bound_above_cap(run, monkeypatch, suite, cap):
+    # a pass line for a degree no row reached would overstate the check
+    monkeypatch.delenv("GRAFTWOOD_MAX_DEGREE", raising=False)
+    error = "error: suite %s checks degrees up to its cap of %d, got %d\n" % (suite, cap, cap + 1)
+    for argv in (["check", "--suite", suite, "--max-degree", str(cap + 1)],
+                 ["--json", "check", "--suite", suite, "--max-degree", str(cap + 1)]):
+        assert run(argv) == (2, "", error)
+    monkeypatch.setenv("GRAFTWOOD_MAX_DEGREE", str(cap + 1))
+    assert run(["check", "--suite", suite]) == (2, "", error)
+
+
+def test_check_accepts_bound_at_cap(run, monkeypatch):
+    monkeypatch.setenv("GRAFTWOOD_MAX_DEGREE", "5")
+    assert run(["check", "--suite", "primtot"]) == (0, SUITE_GOLDEN["primtot", 5], "")
+    # the flag takes precedence over an environment bound past the cap
+    monkeypatch.setenv("GRAFTWOOD_MAX_DEGREE", "6")
+    argv = ["check", "--suite", "primtot", "--max-degree", "4"]
+    assert run(argv) == (0, SUITE_GOLDEN["primtot", 4], "")
 
 
 def test_check_json_schema(run):

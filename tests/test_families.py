@@ -1,5 +1,7 @@
 """Signature families, membership peels, counting rules, canonical labels."""
 
+from collections import Counter
+
 import pytest
 
 from graftwood.families import (
@@ -370,6 +372,18 @@ def test_counts_sum_to_tree_counts():
         shapes = all_shapes(n)
         assert sum(count_indexings(s, "G") for s in shapes) == g
         assert sum(count_indexings(s, "T") for s in shapes) == t
+
+
+def test_enumerated_trees_tally_to_counts_per_shape_at_degree_8():
+    # one Bl tree per plane shape, as test_bl_trees_are_one_per_shape pins
+    shapes = [shape_of(f)[0] for f in generate_set("Bl", 8)]
+    assert len(shapes) == 429
+    for family, total in (("G", 3432), ("T", 8558)):
+        tally = Counter(shape_of(f)[0] for f in generate_set(family, 8) if f.is_tree)
+        assert sum(tally.values()) == total
+        assert set(tally) <= set(shapes)
+        for shape in shapes:
+            assert tally[shape] == count_indexings(shape, family), (str(shape), family)
 
 
 def test_oracle_generic_path_agrees():

@@ -1,6 +1,7 @@
 """Core forest surgery: grammar round-trips, cuts, and the three grafts."""
 
 import itertools
+import pickle
 
 import pytest
 
@@ -14,6 +15,7 @@ from graftwood.forest import (
     ForestSyntaxError,
     OrderedForest,
     OrderedTree,
+    PlaneTree,
     admissible_cuts,
     concat,
     cut_split,
@@ -83,6 +85,28 @@ def test_degree_and_flags():
     f = parse_forest("2[4[1] 3]")
     assert f.degree == 4 and f.is_tree and not f.is_empty
     assert EMPTY_FOREST.degree == 0 and EMPTY_FOREST.is_empty
+
+
+def test_tree_types_are_immutable_tuples():
+    tree = parse_forest("2[4[1] 3]").trees[0]
+    assert repr(tree) == (
+        "OrderedTree(label=2, children=(OrderedTree(label=4, children=(OrderedTree(label=1, "
+        "children=()),)), OrderedTree(label=3, children=())))"
+    )
+    shape = parse_plane_tree("0[0[0] 0]")
+    assert repr(shape) == (
+        "PlaneTree(children=(PlaneTree(children=(PlaneTree(children=()),)), "
+        "PlaneTree(children=())))"
+    )
+    rebuilt = OrderedTree(2, (OrderedTree(4, (OrderedTree(1),)), OrderedTree(3)))
+    assert rebuilt == tree and hash(rebuilt) == hash(tree)
+    assert PlaneTree(shape.children) == shape and hash(PlaneTree(shape.children)) == hash(shape)
+    for obj, field in ((tree, "label"), (tree, "children"), (shape, "children")):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, ())
+    for obj in (tree, shape, parse_forest("2[4[1] 3] 5")):
+        copy = pickle.loads(pickle.dumps(obj))
+        assert copy == obj and type(copy) is type(obj) and str(copy) == str(obj)
 
 
 def test_standardize_subforest():
