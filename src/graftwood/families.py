@@ -400,7 +400,9 @@ def _t_indexings(v: PlaneTree) -> int:
 
 def _labelled(shape: PlaneTree, it) -> OrderedTree:
     """The shape labelled in preorder by the labels ``it`` yields."""
-    return OrderedTree(next(it), tuple(_labelled(c, it) for c in shape.children))
+    if not shape.children:
+        return OrderedTree(next(it))
+    return OrderedTree(next(it), tuple([_labelled(c, it) for c in shape.children]))
 
 
 def oracle_count_indexings(shape: PlaneTree, family: str = "G") -> int:

@@ -7,7 +7,9 @@ separated by single spaces, and the empty forest prints as ``()``.
 
 Trees and shapes are immutable named tuples, ``(label, children)`` and
 ``(children,)``, that hash and compare as plain tuples; a forest is a frozen
-dataclass over its trees that caches its degree and its text.
+dataclass over its trees that caches its degree and its text.  ``standardize``
+and ``concat`` are memoised on those tuples and return shared forests, so each
+distinct cut leg is relabelled, measured and printed once.
 
 Everything in this module is plain tree surgery; linear combinations live in
 :mod:`graftwood.algebra`.
@@ -232,20 +234,31 @@ def shift_forest(forest: OrderedForest, k: int) -> OrderedForest:
 
 
 def standardize(vertices: Sequence[OrderedTree] | OrderedForest) -> OrderedForest:
-    """Relabel a sub-forest order-preservingly onto 1..k."""
+    """Relabel a sub-forest order-preservingly onto 1..k; memoised."""
     trees = vertices.trees if isinstance(vertices, OrderedForest) else tuple(vertices)
+    return _standardized(trees)
+
+
+@lru_cache(maxsize=None)
+def _standardized(trees: tuple[OrderedTree, ...]) -> OrderedForest:
     labels = sorted(l for t in trees for l in t.labels())
     remap = {old: new for new, old in enumerate(labels, start=1)}
     return OrderedForest(tuple(_relabel(t, remap.__getitem__) for t in trees))
 
 
 def concat(left: OrderedForest, right: OrderedForest) -> OrderedForest:
-    """Concatenate, shifting the right factor's labels up by the left degree."""
+    """Concatenate, shifting the right factor's labels up by the left degree; memoised."""
     if left.is_empty:
         return right
     if right.is_empty:
         return left
-    return OrderedForest(left.trees + shift_forest(right, left.degree).trees)
+    return _concatenated(left.trees, right.trees)
+
+
+@lru_cache(maxsize=None)
+def _concatenated(left: tuple[OrderedTree, ...], right: tuple[OrderedTree, ...]) -> OrderedForest:
+    k = sum(t.degree for t in left)
+    return OrderedForest(left + tuple(_relabel(t, k.__add__) for t in right))
 
 
 def root_labels(forest: OrderedForest) -> tuple[int, ...]:

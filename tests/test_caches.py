@@ -32,6 +32,8 @@ def _results():
 
 MEMOS = (
     "graftwood.forest._sorted_cuts",
+    "graftwood.forest._standardized",
+    "graftwood.forest._concatenated",
     "graftwood.algebra._forest_coproduct",
     "graftwood.algebra._antipode_forest",
     "graftwood.families._signature_set",

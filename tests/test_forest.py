@@ -117,6 +117,91 @@ def test_standardize_subforest():
     assert standardize((pruned,)).text == "1[3 2]"
 
 
+def _rank_relabel(trees):
+    """Reference for standardize: each label becomes its rank among all labels."""
+    labels = []
+
+    def collect(t):
+        labels.append(t.label)
+        for c in t.children:
+            collect(c)
+
+    for t in trees:
+        collect(t)
+    rank = {label: i for i, label in enumerate(sorted(labels), start=1)}
+
+    def go(t):
+        return OrderedTree(rank[t.label], tuple(go(c) for c in t.children))
+
+    return tuple(go(t) for t in trees)
+
+
+def _shifted(left, right):
+    """Reference for concat: the right trees' labels go up by len(left labels)."""
+    k = len(list(left.labels()))
+
+    def go(t):
+        return OrderedTree(t.label + k, tuple(go(c) for c in t.children))
+
+    return left.trees + tuple(go(t) for t in right.trees)
+
+
+def _raw_legs(forest, cut):
+    """Both legs of a cut before standardization."""
+    extracted = []
+
+    def prune(t):
+        if t.label in cut:
+            extracted.append(t)
+            return None
+        return OrderedTree(t.label, tuple(k for k in map(prune, t.children) if k is not None))
+
+    remainder = [r for r in map(prune, forest.trees) if r is not None]
+    return extracted, remainder
+
+
+def test_memoised_relabelling_matches_references_on_every_cut():
+    for n in range(1, 6):
+        for f in sorted(generate_set("G", n), key=str):
+            for cut in admissible_cuts(f):
+                legs = []
+                for raw in _raw_legs(f, cut):
+                    leg = standardize(raw)
+                    assert leg.trees == _rank_relabel(raw), (f.text, sorted(cut))
+                    assert leg.degree == len(list(OrderedForest(tuple(raw)).labels()))
+                    legs.append(leg)
+                assert cut_split(f, cut) == tuple(legs), (f.text, sorted(cut))
+                lea, roo = legs
+                for a, b in ((lea, roo), (roo, lea), (f, lea), (roo, f)):
+                    assert concat(a, b).trees == _shifted(a, b), (a.text, b.text)
+                    assert concat(a, b).text == format_forest(OrderedForest(_shifted(a, b)))
+
+
+def test_memoised_relabelling_tells_label_orders_apart():
+    # same shape, same label set, different order: neither key alone suffices
+    a = (OrderedTree(3, (OrderedTree(5),)), OrderedTree(4))
+    b = (OrderedTree(5, (OrderedTree(3),)), OrderedTree(4))
+    assert (standardize(a).text, standardize(b).text) == ("1[3] 2", "3[1] 2")
+    assert (standardize(b).text, standardize(a).text) == ("3[1] 2", "1[3] 2")
+    x, y = parse_forest("1[2]"), parse_forest("2[1]")
+    assert (concat(x, y).text, concat(y, x).text, concat(x, x).text) == (
+        "1[2] 4[3]", "2[1] 3[4]", "1[2] 3[4]"
+    )
+    assert concat(y, y).text == "2[1] 4[3]"
+
+
+def test_memoised_relabelling_accepts_any_sequence():
+    f = parse_forest("3[1[2] 4] 5")
+    trees = f.trees[0].children
+    results = [standardize(list(trees)), standardize(tuple(trees)), standardize(OrderedForest(trees))]
+    assert all(r == results[0] for r in results) and results[0].text == "1[2] 3"
+    # equal inputs share one frozen forest, with its text computed once
+    assert all(r is results[0] for r in results)
+    assert standardize(f) is standardize(list(f.trees)) and standardize(f) == f
+    g = parse_forest("1[2]")
+    assert concat(g, f) is concat(OrderedForest(tuple(g.trees)), OrderedForest(tuple(f.trees)))
+
+
 def test_shape_equality_ignores_labels():
     assert shape_of(parse_forest("3[1 2]")) == shape_of(parse_forest("1[2 3]"))
     assert shape_of(parse_forest("1[2 3]")) != shape_of(parse_forest("1[2[3]]"))
