@@ -11,6 +11,10 @@ Variants restrict which cuts contribute:
 * ``rightRoot`` cuts avoiding the root of the rightmost tree,
 * ``precRed``   nontrivial cuts extracting the rightmost leaf,
 * ``succRed``   nontrivial cuts keeping the rightmost leaf.
+
+The antipode reverses products, S(a·b) = S(b)·S(a), so a word splits at its
+first proper block prefix (first trees labelled exactly 1..k); only forests
+with no such prefix recurse over the reduced coproduct.
 """
 
 from __future__ import annotations
@@ -293,7 +297,10 @@ DEFAULT_ANTIPODE_DEGREE = 5
 
 
 def antipode(x, max_degree: int = DEFAULT_ANTIPODE_DEGREE) -> AlgebraElement:
-    """The antipode, computed degree-recursively from the reduced coproduct.
+    """The antipode.  A forest whose first trees carry exactly the labels
+    1..k is a product head·tail, and S(head·tail) = S(tail)·S(head); only a
+    forest with no such proper block prefix recurses over its reduced
+    coproduct, degree by degree.
 
     The degree guard is a runtime budget only; raise it when needed.
     """
@@ -311,6 +318,12 @@ def antipode(x, max_degree: int = DEFAULT_ANTIPODE_DEGREE) -> AlgebraElement:
 def _antipode_forest(forest: OrderedForest) -> AlgebraElement:
     if forest.is_empty:
         return AlgebraElement.unit()
+    trees, size, top = forest.trees, 0, 0
+    for k, t in enumerate(trees[:-1], start=1):
+        size, top = size + t.degree, max(top, *t.labels())
+        if top == size:  # trees[:k] hold exactly 1..size: S(head·tail) = S(tail)·S(head)
+            head, tail = OrderedForest(trees[:k]), standardize(trees[k:])
+            return _antipode_forest(tail) * _antipode_forest(head)
     terms = (
         (concat(g, roo), -c * d)
         for (lea, roo), c in _forest_coproduct(forest, "reduced").terms.items()
@@ -335,7 +348,8 @@ def prim_tot_dimension(n: int, max_degree: int = DEFAULT_ANTIPODE_DEGREE) -> int
         row: dict = {}
         for tag, variant in ((0, "precRed"), (1, "succRed")):
             for (lea, roo), c in _forest_coproduct(f, variant).terms.items():
-                row[(tag, lea.text, roo.text)] = c
+                # pivots by left-leg degree first: far less fill-in than by text
+                row[(tag, lea.degree, lea.text, roo.text)] = c
         rows.append(row)
     return len(basis) - _sparse_rank(rows)
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from graftwood import algebra
 from graftwood.algebra import (
     COPRODUCT_VARIANTS,
     AlgebraElement,
@@ -21,7 +22,7 @@ from graftwood.algebra import (
     product,
 )
 from graftwood.families import generate_set, generate_words
-from graftwood.forest import EMPTY_FOREST, parse_forest
+from graftwood.forest import EMPTY_FOREST, OrderedForest, parse_forest
 
 P = parse_forest
 
@@ -323,6 +324,57 @@ def test_antipode_reverses_products():
     assert antipode(product(P("1"), P("1[2]"))) != product(
         antipode(P("1")), antipode(P("1[2]"))
     )
+
+
+# forests that split into blocks only part of the way, or not at all
+PARTLY_FACTORING = (
+    "1 3[2] 4", "2[1] 3", "1 2[3] 4", "3[1] 2", "1 2[3]", "2 1", "2 1 3",
+    "1 4[2] 3 5", "3[1] 2 4[5]", "1[3] 2 4 5[6]",
+)
+
+
+def _reference_antipode():
+    """S(f) = -f - sum S(f')·f'' over the reduced coproduct, for every forest,
+    memoised here and built only on the public coproduct and product."""
+    memo = {EMPTY_FOREST: AlgebraElement.unit()}
+
+    def s(f):
+        if f not in memo:
+            out = -AlgebraElement.of(f)
+            for (lea, roo), c in coproduct(f, "reduced").terms.items():
+                out = out - product(s(lea), roo) * c
+            memo[f] = out
+        return memo[f]
+
+    return s
+
+
+def test_antipode_matches_the_plain_recursion():
+    reference = _reference_antipode()
+    for f in small_forests(5) + [P(t) for t in PARTLY_FACTORING]:
+        assert antipode(f, max_degree=6) == reference(f), f.text
+
+
+def _has_block_prefix(f):
+    """Some proper prefix of the trees carries exactly the labels 1..k."""
+    heads = (OrderedForest(f.trees[:k]) for k in range(1, len(f.trees)))
+    return any(sorted(h.labels()) == list(range(1, h.degree + 1)) for h in heads)
+
+
+def test_only_forests_without_a_block_prefix_recurse(monkeypatch):
+    seen = []
+    inner = algebra._forest_coproduct
+    monkeypatch.setattr(
+        algebra, "_forest_coproduct", lambda f, v: seen.append((f, v)) or inner(f, v)
+    )
+    algebra._antipode_forest.cache_clear()
+    word = P(" ".join(str(i) for i in range(1, 13)))
+    assert antipode(word, max_degree=12) == elem((word.text, 1))
+    assert seen == [(P("1"), "reduced")]
+    for f in small_forests(5) + [P(t) for t in PARTLY_FACTORING]:
+        antipode(f, max_degree=6)
+    assert len(seen) > 1 and {v for _, v in seen} == {"reduced"}
+    assert not [f.text for f, _ in seen if _has_block_prefix(f)]
 
 
 def test_antipode_degree_guard():
