@@ -12,23 +12,27 @@ Variants restrict which cuts contribute:
 * ``precRed``   nontrivial cuts extracting the rightmost leaf,
 * ``succRed``   nontrivial cuts keeping the rightmost leaf.
 
-The antipode reverses products, S(a·b) = S(b)·S(a), so a word splits at its
-first proper block prefix (first trees labelled exactly 1..k); only forests
-with no such prefix recurse over the reduced coproduct.
+A forest is the product b1·…·bk of its blocks (``forest.blocks``).  The
+coproduct is multiplicative, Δ(a·b) = Δ(a)·Δ(b), and the antipode reverses
+products, S(a·b) = S(b)·S(a), so both fold over the blocks: only a single
+block has its cuts enumerated or recurses over its reduced coproduct.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain
 from math import gcd
+from operator import mul
 
 from .families import b_minus, b_plus, generate_words
 from .forest import (
     EMPTY_FOREST,
     OrderedForest,
+    _check_cut_budget,
     admissible_cuts,
+    blocks,
     concat,
     cut_split,
     rightmost_path,
@@ -239,33 +243,41 @@ def _normalize_variant(variant: str) -> str:
 
 @lru_cache(maxsize=None)
 def _forest_coproduct(forest: OrderedForest, variant: str) -> Tensor2Element:
+    *init, last = blocks(forest)
+    if init:  # Δ(b1·…·bk) = Δ(b1)·…·Δ(bk); a variant's condition reads b1, bk or triviality
+        _check_cut_budget(forest)  # the cuts of the whole forest, as for a single block
+        out = _forest_coproduct(init[0], "leftRoot" if variant == "leftRoot" else "full")
+        for b in init[1:]:
+            out = out * _forest_coproduct(b, "full")
+        reads_last = variant in ("rightRoot", "precRed", "succRed")
+        tail = _forest_coproduct(last, variant if reads_last else "full")
+        if variant == "precRed":  # the total cut of bk takes its rightmost leaf too
+            tail = tail + Tensor2Element.of(last, EMPTY_FOREST)
+        elif variant == "succRed":  # and its empty cut keeps it
+            tail = tail + Tensor2Element.of(EMPTY_FOREST, last)
+        out = out * tail
+        if variant in ("reduced", "precRed"):
+            out = out - Tensor2Element.of(forest, EMPTY_FOREST)
+        if variant in ("reduced", "succRed"):
+            out = out - Tensor2Element.of(EMPTY_FOREST, forest)
+        return out
     roots = root_labels(forest)
     rootset = frozenset(roots)
-    if variant in ("precRed", "succRed") and not forest.is_empty:
-        above_leaf = frozenset(rightmost_path(forest))
-    pairs = []
-    for cut in admissible_cuts(forest):
-        if variant == "reduced":
-            if not cut or cut == rootset:
-                continue
-        elif variant == "leftRoot":
-            if roots and roots[0] in cut:
-                continue
-        elif variant == "rightRoot":
-            if roots and roots[-1] in cut:
-                continue
-        elif variant == "precRed":
-            if not cut or cut == rootset or not (cut & above_leaf):
-                continue
-        elif variant == "succRed":
-            if not cut or cut == rootset or (cut & above_leaf):
-                continue
-        pairs.append((cut_split(forest, cut), 1))
-    return Tensor2Element(_sum(pairs))
+    leaf_path = frozenset(rightmost_path(forest)) if roots else frozenset()
+    keep = {
+        "full": lambda cut: True,
+        "reduced": lambda cut: cut and cut != rootset,
+        "leftRoot": lambda cut: not roots or roots[0] not in cut,
+        "rightRoot": lambda cut: not roots or roots[-1] not in cut,
+        "precRed": lambda cut: cut and cut != rootset and cut & leaf_path,
+        "succRed": lambda cut: cut and cut != rootset and not cut & leaf_path,
+    }[variant]
+    return Tensor2Element(_sum((cut_split(forest, c), 1) for c in admissible_cuts(forest) if keep(c)))
 
 
 def coproduct(x, variant: str = "full") -> Tensor2Element:
-    """Cut coproduct of a forest or an element, in the requested variant."""
+    """Cut coproduct of a forest or an element, in the requested variant: the
+    product of its blocks' coproducts, within the cut budget of the whole forest."""
     variant = _normalize_variant(variant)
     if isinstance(x, OrderedForest):
         return _forest_coproduct(x, variant)
@@ -297,10 +309,9 @@ DEFAULT_ANTIPODE_DEGREE = 5
 
 
 def antipode(x, max_degree: int = DEFAULT_ANTIPODE_DEGREE) -> AlgebraElement:
-    """The antipode.  A forest whose first trees carry exactly the labels
-    1..k is a product head·tail, and S(head·tail) = S(tail)·S(head); only a
-    forest with no such proper block prefix recurses over its reduced
-    coproduct, degree by degree.
+    """The antipode.  A forest is the product b1·…·bk of its blocks, and
+    S(b1·…·bk) = S(bk)·…·S(b1), folded in a loop; only a single block
+    recurses over its reduced coproduct, degree by degree.
 
     The degree guard is a runtime budget only; raise it when needed.
     """
@@ -318,12 +329,9 @@ def antipode(x, max_degree: int = DEFAULT_ANTIPODE_DEGREE) -> AlgebraElement:
 def _antipode_forest(forest: OrderedForest) -> AlgebraElement:
     if forest.is_empty:
         return AlgebraElement.unit()
-    trees, size, top = forest.trees, 0, 0
-    for k, t in enumerate(trees[:-1], start=1):
-        size, top = size + t.degree, max(top, *t.labels())
-        if top == size:  # trees[:k] hold exactly 1..size: S(head·tail) = S(tail)·S(head)
-            head, tail = OrderedForest(trees[:k]), standardize(trees[k:])
-            return _antipode_forest(tail) * _antipode_forest(head)
+    factors = blocks(forest)
+    if len(factors) > 1:  # S(b1·…·bk) = S(bk)·…·S(b1)
+        return reduce(mul, map(_antipode_forest, reversed(factors)))
     terms = (
         (concat(g, roo), -c * d)
         for (lea, roo), c in _forest_coproduct(forest, "reduced").terms.items()

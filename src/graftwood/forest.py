@@ -261,6 +261,19 @@ def _concatenated(left: tuple[OrderedTree, ...], right: tuple[OrderedTree, ...])
     return OrderedForest(left + tuple(_relabel(t, k.__add__) for t in right))
 
 
+def blocks(forest: OrderedForest) -> tuple[OrderedForest, ...]:
+    """The finest standardized factors b1, ..., bk whose ``concat`` in turn is
+    the forest: runs of trees labelled exactly by the next 1..m, none with a
+    proper block prefix.  A forest with none, () too, is its own only factor."""
+    trees, runs, start, size, top = forest.trees, [], 0, 0, 0
+    for k, t in enumerate(trees[:-1], start=1):
+        size, top = size + t.degree, max(top, *t.labels())
+        if top == size:
+            runs.append(trees[start:k])
+            start = k
+    return tuple(map(standardize, runs + [trees[start:]])) if runs else (forest,)
+
+
 def root_labels(forest: OrderedForest) -> tuple[int, ...]:
     return tuple(t.label for t in forest.trees)
 
@@ -310,6 +323,13 @@ def _sorted_cuts(forest: OrderedForest) -> tuple[AdmissibleCut, ...]:
     return tuple(sorted((frozenset().union(*c) for c in _cuts_of(forest.trees)), key=sorted))
 
 
+def _check_cut_budget(forest: OrderedForest) -> None:
+    """Refuse a forest with more admissible cuts than the budget."""
+    total = math.prod(_count_cuts(t) for t in forest.trees)
+    if total > _MAX_CUTS:
+        raise ValueError("%d admissible cuts exceed the budget of %d" % (total, _MAX_CUTS))
+
+
 def admissible_cuts(forest: OrderedForest) -> tuple[AdmissibleCut, ...]:
     """All antichains of the ancestry order, as label sets.
 
@@ -317,11 +337,7 @@ def admissible_cuts(forest: OrderedForest) -> tuple[AdmissibleCut, ...]:
     order: lexicographic on the sorted label tuples, so () comes first,
     then (1), (1,2), ..., (2), ...
     """
-    total = math.prod(_count_cuts(t) for t in forest.trees)
-    if total > _MAX_CUTS:
-        raise ValueError(
-            "%d admissible cuts exceed the budget of %d" % (total, _MAX_CUTS)
-        )
+    _check_cut_budget(forest)
     return _sorted_cuts(forest)
 
 

@@ -3,6 +3,7 @@
 import copy
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -22,7 +23,13 @@ from graftwood.algebra import (
     product,
 )
 from graftwood.families import generate_set, generate_words
-from graftwood.forest import EMPTY_FOREST, OrderedForest, parse_forest
+from graftwood.forest import (
+    EMPTY_FOREST,
+    OrderedForest,
+    admissible_cuts,
+    cut_split,
+    parse_forest,
+)
 
 P = parse_forest
 
@@ -242,6 +249,59 @@ def test_variant_aliases_and_errors():
         coproduct(f, "sideways")
 
 
+def _word(n):
+    """The word of n single vertices, 1 2 ... n."""
+    return P(" ".join(map(str, range(1, n + 1)))) if n else EMPTY_FOREST
+
+
+def test_single_vertex_words_have_a_binomial_coproduct():
+    n, word = 16, _word(16)
+    full = Tensor2Element({(_word(k), _word(n - k)): comb(n, k) for k in range(n + 1)})
+    assert coproduct(word) == full
+    trivial = Tensor2Element.of(word, EMPTY_FOREST) + Tensor2Element.of(EMPTY_FOREST, word)
+    assert coproduct(word, "reduced") == full - trivial
+    with pytest.raises(ValueError) as exc:
+        coproduct(_word(17))
+    assert str(exc.value) == "131072 admissible cuts exceed the budget of 65536"
+
+
+def _reference_coproducts(f):
+    """All six variants by their cut conditions, each a sum over the admissible
+    cuts of the whole forest split by the public ``cut_split``: the coproduct
+    with no block factorisation."""
+    roots = {t.label for t in f.trees}
+    leaf_path = set()
+    if f.trees:
+        node = f.trees[-1]
+        leaf_path.add(node.label)
+        while node.children:
+            node = node.children[-1]
+            leaf_path.add(node.label)
+    keeps = {
+        "full": lambda cut: True,
+        "reduced": lambda cut: cut and cut != roots,
+        "leftRoot": lambda cut: not f.trees or f.trees[0].label not in cut,
+        "rightRoot": lambda cut: not f.trees or f.trees[-1].label not in cut,
+        "precRed": lambda cut: cut and cut != roots and cut & leaf_path,
+        "succRed": lambda cut: cut and cut != roots and not cut & leaf_path,
+    }
+    terms = {v: {} for v in keeps}
+    for cut in admissible_cuts(f):
+        pair = cut_split(f, cut)
+        for v, keep in keeps.items():
+            if keep(cut):
+                terms[v][pair] = terms[v].get(pair, 0) + 1
+    return {v: Tensor2Element(t) for v, t in terms.items()}
+
+
+def test_coproduct_matches_the_sum_over_all_cuts_of_the_whole_forest():
+    forests = small_forests(5) + sorted(generate_words("T", 6), key=lambda f: f.text)
+    # all six variants on all 4,279 degree-7 words take several seconds: a seeded sample
+    forests += random.Random(7).sample(sorted(generate_words("T", 7), key=lambda f: f.text), 500)
+    for f in forests:
+        assert {v: coproduct(f, v) for v in COPRODUCT_VARIANTS} == _reference_coproducts(f), f.text
+
+
 def test_one_sided_reduced_parts_sum_to_reduced():
     for f in small_forests(5):
         if f.is_empty:
@@ -375,6 +435,25 @@ def test_only_forests_without_a_block_prefix_recurse(monkeypatch):
         antipode(f, max_degree=6)
     assert len(seen) > 1 and {v for _, v in seen} == {"reduced"}
     assert not [f.text for f, _ in seen if _has_block_prefix(f)]
+
+
+def test_only_single_blocks_have_their_cuts_enumerated(monkeypatch):
+    seen = set()
+    inner = algebra.admissible_cuts
+    monkeypatch.setattr(algebra, "admissible_cuts", lambda f: seen.add(f) or inner(f))
+    algebra._forest_coproduct.cache_clear()
+    words = [f for n in range(7) for f in generate_words("T", n)]
+    for f in words:
+        for v in COPRODUCT_VARIANTS:
+            coproduct(f, v)
+    assert {f for f in words if len(f.trees) <= 1} <= seen
+    assert not [f.text for f in seen if _has_block_prefix(f)]
+
+
+@pytest.mark.parametrize("n", [1200, 1201])
+def test_antipode_of_a_long_word_folds_over_its_blocks(n):
+    word = _word(n)
+    assert antipode(word, max_degree=n) == AlgebraElement.of(word, (-1) ** n)
 
 
 def test_antipode_degree_guard():

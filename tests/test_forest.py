@@ -17,6 +17,7 @@ from graftwood.forest import (
     OrderedTree,
     PlaneTree,
     admissible_cuts,
+    blocks,
     concat,
     cut_split,
     format_forest,
@@ -348,6 +349,31 @@ def test_concat_shifts_right_factor():
     a, b = parse_forest("1[2]"), parse_forest("2[1]")
     assert concat(a, b).text == "1[2] 4[3]"
     assert concat(EMPTY_FOREST, a) is a and concat(a, EMPTY_FOREST) is a
+
+
+@pytest.mark.parametrize(
+    "text, factors",
+    [
+        ("1 2 3", ["1", "1", "1"]),
+        ("1 3[2] 4", ["1", "2[1]", "1"]),
+        ("2[1] 3[4]", ["2[1]", "1[2]"]),
+        ("3[1] 2 4 6[5]", ["3[1] 2", "1", "2[1]"]),
+        ("1[2] 4 3", ["1[2]", "2 1"]),
+    ],
+)
+def test_blocks_are_the_finest_standardized_factors(text, factors):
+    f = parse_forest(text)
+    assert [b.text for b in blocks(f)] == factors
+    product = EMPTY_FOREST
+    for b in blocks(f):
+        product = concat(product, b)
+    assert product == f
+
+
+def test_a_forest_without_a_block_prefix_is_its_own_factor():
+    for text in ("()", "1", "2[4[1] 3]", "2 1", "3[1] 2"):
+        f = parse_forest(text)
+        assert blocks(f) == (f,) and blocks(f)[0] is f
 
 
 def test_rightmost_leaf():

@@ -1,4 +1,4 @@
-"""Randomized laws past the exhaustive sweeps: T words of degree 8-10.
+"""Randomized laws past the exhaustive sweeps: T words of degree 8-11.
 
 A T tree of degree n is ``b_minus`` or ``b_plus`` of a T word of degree
 n - 1, and a T word concatenates T trees; the strategies below draw words by
@@ -8,7 +8,15 @@ those moves.  Runs are derandomized, so every run tests the same examples.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graftwood.algebra import AlgebraElement, antipode, coproduct, product
+from graftwood.algebra import (
+    AlgebraElement,
+    antipode,
+    coproduct,
+    counit,
+    expand_left,
+    expand_right,
+    product,
+)
 from graftwood.families import b_minus, b_plus, membership
 from graftwood.forest import EMPTY_FOREST, OrderedForest, OrderedTree, concat
 
@@ -71,3 +79,20 @@ def test_antipode_law(word):
 def test_antipode_reverses_products(pair):
     a, b = pair
     assert s(concat(a, b)) == product(s(b), s(a))
+
+
+@laws
+@given(t_words_of_degree(9, 11))
+def test_coproduct_is_coassociative(word):
+    d = coproduct(word)
+    assert expand_left(d) == expand_right(d)
+
+
+@laws
+@given(t_words_of_degree(9, 11))
+def test_counit_law(word):
+    left = right = AlgebraElement.zero()
+    for (a, b), c in coproduct(word).terms.items():
+        left = left + AlgebraElement.of(b) * (counit(a) * c)
+        right = right + AlgebraElement.of(a) * (counit(b) * c)
+    assert left == right == AlgebraElement.of(word)
