@@ -12,10 +12,12 @@ Variants restrict which cuts contribute:
 * ``precRed``   nontrivial cuts extracting the rightmost leaf,
 * ``succRed``   nontrivial cuts keeping the rightmost leaf.
 
-A forest is the product b1·…·bk of its blocks (``forest.blocks``).  The
-coproduct is multiplicative, Δ(a·b) = Δ(a)·Δ(b), and the antipode reverses
-products, S(a·b) = S(b)·S(a), so both fold over the blocks: only a single
-block has its cuts enumerated or recurses over its reduced coproduct.
+A forest is the product b1·…·bk of its blocks (``forest.blocks``) and the
+coproduct is multiplicative, so an unreduced variant is Δ(b1)·…·Δ(bk) with its
+cut condition on one end block: b1 for ``full`` and ``leftRoot``, bk for the
+rest.  A reduced variant is its unreduced companion less f⊗() and ()⊗f.  The
+antipode reverses products, S(a·b) = S(b)·S(a): only a single block has its
+cuts enumerated or recurses over its full coproduct.
 """
 
 from __future__ import annotations
@@ -241,36 +243,31 @@ def _normalize_variant(variant: str) -> str:
     return variant
 
 
+# The unreduced companion of each reduced variant
+_REDUCED = {"reduced": "full", "precRed": "leafExtracted", "succRed": "leafKept"}
+
+
 @lru_cache(maxsize=None)
 def _forest_coproduct(forest: OrderedForest, variant: str) -> Tensor2Element:
-    *init, last = blocks(forest)
-    if init:  # Δ(b1·…·bk) = Δ(b1)·…·Δ(bk); a variant's condition reads b1, bk or triviality
+    if variant in _REDUCED:  # less f⊗() and ()⊗f, the terms of the total and the empty cut
+        terms = dict(_forest_coproduct(forest, _REDUCED[variant]).terms)
+        terms.pop((forest, EMPTY_FOREST), None)
+        terms.pop((EMPTY_FOREST, forest), None)
+        return Tensor2Element(terms)
+    factors = blocks(forest)
+    if len(factors) > 1:  # Δ(b1·…·bk) = Δ(b1)·…·Δ(bk), the condition on one end block
         _check_cut_budget(forest)  # the cuts of the whole forest, as for a single block
-        out = _forest_coproduct(init[0], "leftRoot" if variant == "leftRoot" else "full")
-        for b in init[1:]:
-            out = out * _forest_coproduct(b, "full")
-        reads_last = variant in ("rightRoot", "precRed", "succRed")
-        tail = _forest_coproduct(last, variant if reads_last else "full")
-        if variant == "precRed":  # the total cut of bk takes its rightmost leaf too
-            tail = tail + Tensor2Element.of(last, EMPTY_FOREST)
-        elif variant == "succRed":  # and its empty cut keeps it
-            tail = tail + Tensor2Element.of(EMPTY_FOREST, last)
-        out = out * tail
-        if variant in ("reduced", "precRed"):
-            out = out - Tensor2Element.of(forest, EMPTY_FOREST)
-        if variant in ("reduced", "succRed"):
-            out = out - Tensor2Element.of(EMPTY_FOREST, forest)
-        return out
+        conditions = ["full"] * len(factors)
+        conditions[0 if variant in ("full", "leftRoot") else -1] = variant
+        return reduce(mul, map(_forest_coproduct, factors, conditions))
     roots = root_labels(forest)
-    rootset = frozenset(roots)
-    leaf_path = frozenset(rightmost_path(forest)) if roots else frozenset()
+    leaf_path = frozenset(rightmost_path(forest) if roots else ())
     keep = {
         "full": lambda cut: True,
-        "reduced": lambda cut: cut and cut != rootset,
-        "leftRoot": lambda cut: not roots or roots[0] not in cut,
-        "rightRoot": lambda cut: not roots or roots[-1] not in cut,
-        "precRed": lambda cut: cut and cut != rootset and cut & leaf_path,
-        "succRed": lambda cut: cut and cut != rootset and not cut & leaf_path,
+        "leftRoot": lambda cut: cut.isdisjoint(roots[:1]),
+        "rightRoot": lambda cut: cut.isdisjoint(roots[-1:]),
+        "leafExtracted": lambda cut: not cut.isdisjoint(leaf_path),
+        "leafKept": lambda cut: cut.isdisjoint(leaf_path),
     }[variant]
     return Tensor2Element(_sum((cut_split(forest, c), 1) for c in admissible_cuts(forest) if keep(c)))
 
@@ -311,7 +308,7 @@ DEFAULT_ANTIPODE_DEGREE = 5
 def antipode(x, max_degree: int = DEFAULT_ANTIPODE_DEGREE) -> AlgebraElement:
     """The antipode.  A forest is the product b1·…·bk of its blocks, and
     S(b1·…·bk) = S(bk)·…·S(b1), folded in a loop; only a single block
-    recurses over its reduced coproduct, degree by degree.
+    recurses over its full coproduct, degree by degree.
 
     The degree guard is a runtime budget only; raise it when needed.
     """
@@ -332,12 +329,13 @@ def _antipode_forest(forest: OrderedForest) -> AlgebraElement:
     factors = blocks(forest)
     if len(factors) > 1:  # S(b1·…·bk) = S(bk)·…·S(b1)
         return reduce(mul, map(_antipode_forest, reversed(factors)))
-    terms = (
+    terms = (  # from m(S⊗id)Δ(f) = 0
         (concat(g, roo), -c * d)
-        for (lea, roo), c in _forest_coproduct(forest, "reduced").terms.items()
+        for (lea, roo), c in _forest_coproduct(forest, "full").terms.items()
+        if not roo.is_empty  # only the total cut leaves nothing
         for g, d in _antipode_forest(lea).terms.items()
     )
-    return AlgebraElement(_sum(chain([(forest, -1)], terms)))
+    return AlgebraElement(_sum(terms))
 
 
 def prim_tot_dimension(n: int, max_degree: int = DEFAULT_ANTIPODE_DEGREE) -> int:
@@ -351,14 +349,15 @@ def prim_tot_dimension(n: int, max_degree: int = DEFAULT_ANTIPODE_DEGREE) -> int
             % (max_degree, n)
         )
     basis = sorted(generate_words("T", n), key=lambda f: f.text)
-    rows = []
-    for f in basis:
-        row: dict = {}
-        for tag, variant in ((0, "precRed"), (1, "succRed")):
-            for (lea, roo), c in _forest_coproduct(f, variant).terms.items():
-                # pivots by left-leg degree first: far less fill-in than by text
-                row[(tag, lea.degree, lea.text, roo.text)] = c
-        rows.append(row)
+    rows = [
+        {  # pivots by left-leg degree first: far less fill-in than by text
+            (tag, lea.degree, lea.text, roo.text): c
+            for tag, variant in ((0, "leafExtracted"), (1, "leafKept"))
+            for (lea, roo), c in _forest_coproduct(f, variant).terms.items()
+            if not (lea.is_empty or roo.is_empty)  # the precRed and succRed terms
+        }
+        for f in basis
+    ]
     return len(basis) - _sparse_rank(rows)
 
 

@@ -9,7 +9,8 @@ Trees and shapes are immutable named tuples, ``(label, children)`` and
 ``(children,)``, that hash and compare as plain tuples; a forest is a frozen
 dataclass over its trees that caches its degree and its text.  ``standardize``
 and ``concat`` are memoised on those tuples and return shared forests, so each
-distinct cut leg is relabelled, measured and printed once.
+distinct cut leg is relabelled, measured and printed once.  Cuts are not
+memoised: the coproduct in :mod:`graftwood.algebra` keeps its own results.
 
 Everything in this module is plain tree surgery; linear combinations live in
 :mod:`graftwood.algebra`.
@@ -318,11 +319,6 @@ def _cuts_of(trees: tuple[OrderedTree, ...]) -> Iterator[tuple[AdmissibleCut, ..
     )
 
 
-@lru_cache(maxsize=None)
-def _sorted_cuts(forest: OrderedForest) -> tuple[AdmissibleCut, ...]:
-    return tuple(sorted((frozenset().union(*c) for c in _cuts_of(forest.trees)), key=sorted))
-
-
 def _check_cut_budget(forest: OrderedForest) -> None:
     """Refuse a forest with more admissible cuts than the budget."""
     total = math.prod(_count_cuts(t) for t in forest.trees)
@@ -338,7 +334,7 @@ def admissible_cuts(forest: OrderedForest) -> tuple[AdmissibleCut, ...]:
     then (1), (1,2), ..., (2), ...
     """
     _check_cut_budget(forest)
-    return _sorted_cuts(forest)
+    return tuple(sorted((frozenset().union(*c) for c in _cuts_of(forest.trees)), key=sorted))
 
 
 def cut_split(

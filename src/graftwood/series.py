@@ -10,7 +10,6 @@ actual generated sets and reports per-degree agreement.
 from __future__ import annotations
 
 import re
-from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 from .algebra import prim_tot_dimension
@@ -47,7 +46,6 @@ def parse_series_id(series_id: str) -> tuple[str, int | None]:
     return m.group(1), param
 
 
-@lru_cache(maxsize=None)
 def _length_triangle(n_max: int):
     """f[n][k] = degree-n forests made of exactly k trees, with the forest
     totals alongside.  Row recurrence: a new forest is a tree prepended to a
@@ -65,7 +63,6 @@ def _length_triangle(n_max: int):
     return f, totals
 
 
-@lru_cache(maxsize=None)
 def _catalan(n_max: int):
     c = [0] * (n_max + 1)
     c[0] = 1
@@ -83,7 +80,6 @@ def _compose_words(trees: Sequence[int], n_max: int) -> list[int]:
     return f
 
 
-@lru_cache(maxsize=None)
 def _wrap_trees(n_max: int) -> tuple[int, ...]:
     """Tree counts for the two-operator family: quadratic recurrence
     t[n] = t[n-1] + sum t[a] t[n-a]."""
@@ -95,7 +91,6 @@ def _wrap_trees(n_max: int) -> tuple[int, ...]:
     return tuple(t)
 
 
-@lru_cache(maxsize=None)
 def _layered_trees(i: int, n_max: int) -> tuple[int, ...]:
     """Single-tree counts of the i-th layered family: the unrestricted tree
     count minus the overhanging word corrections."""
@@ -110,7 +105,6 @@ def _layered_trees(i: int, n_max: int) -> tuple[int, ...]:
     return tuple(trees)
 
 
-@lru_cache(maxsize=None)
 def _binfty_trees(n_max: int) -> tuple[int, ...]:
     f, _ = _length_triangle(max(n_max, 1))
     return tuple(f[n][1] if 1 <= n <= n_max else 0 for n in range(n_max + 1))
@@ -122,13 +116,9 @@ def _length_column(k: int, n_max: int) -> list[int]:
 
 
 def _d_dims(_, n_max: int) -> list[int]:
-    """Dimensions d[n] from the quotient relation fb = d * fb^2."""
-    fb = _compose_words(_wrap_trees(n_max), n_max)
-    fb2 = [sum(fb[a] * fb[m - a] for a in range(m + 1)) for m in range(n_max + 1)]
-    d = [0] * (n_max + 1)
-    for n in range(1, n_max + 1):
-        d[n] = fb[n] - sum(d[k] * fb2[n - k] for k in range(1, n))
-    return d
+    """Dimensions d[n] = [n = 1] + t[n-1]: the quotient relation F = 1 + D F^2
+    on the words F = 1/(1 - T), with T = x + xT + T^2, gives D = T(1 - T) = x(1 + T)."""
+    return [0, 1] + list(_wrap_trees(n_max)[1:n_max])
 
 
 def _tree_count(selector: str, n: int) -> int:

@@ -430,10 +430,10 @@ def test_only_forests_without_a_block_prefix_recurse(monkeypatch):
     algebra._antipode_forest.cache_clear()
     word = P(" ".join(str(i) for i in range(1, 13)))
     assert antipode(word, max_degree=12) == elem((word.text, 1))
-    assert seen == [(P("1"), "reduced")]
+    assert seen == [(P("1"), "full")]
     for f in small_forests(5) + [P(t) for t in PARTLY_FACTORING]:
         antipode(f, max_degree=6)
-    assert len(seen) > 1 and {v for _, v in seen} == {"reduced"}
+    assert len(seen) > 1 and {v for _, v in seen} == {"full"}
     assert not [f.text for f, _ in seen if _has_block_prefix(f)]
 
 

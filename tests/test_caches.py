@@ -1,4 +1,8 @@
-"""No result depends on a warm memo: every functools cache can be cleared."""
+"""No result depends on a warm memo: every functools cache can be cleared.
+
+``MEMOS`` is the inventory of the package's memos: a memo added or dropped
+fails the test until it is listed here or taken off.
+"""
 
 import sys
 
@@ -24,6 +28,7 @@ def _results():
     words = [parse_forest(t) for t in ("1[2[3[4[5]]]]", "2[1] 3 5[4]", "1 4[2 3] 5")]
     return (
         run_suite("hopf", 4),
+        run_suite("closure", 3),
         [coproduct(f, v) for f in forests for v in COPRODUCT_VARIANTS],
         [antipode(w) for w in words],
         [count_indexings(shape_of(f)[0], "T") for f in sorted(generate_set("Bl", 6), key=str)],
@@ -31,12 +36,14 @@ def _results():
 
 
 MEMOS = (
-    "graftwood.forest._sorted_cuts",
     "graftwood.forest._standardized",
     "graftwood.forest._concatenated",
     "graftwood.algebra._forest_coproduct",
     "graftwood.algebra._antipode_forest",
     "graftwood.families._signature_set",
+    "graftwood.families._tree_layer",
+    "graftwood.families._closure_layer",
+    "graftwood.families._words_over",
     "graftwood.families._t_indexings",
 )
 
@@ -45,6 +52,7 @@ def test_results_do_not_depend_on_warm_caches():
     first = _results()
     assert _results() == first
     caches = _caches()
+    assert set(caches) == set(MEMOS)
     for name in MEMOS:
         assert caches[name].cache_info().currsize > 0, name
     for cache in caches.values():

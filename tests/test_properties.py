@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from graftwood.algebra import (
     AlgebraElement,
+    Tensor2Element,
     antipode,
     coproduct,
     counit,
@@ -18,7 +19,8 @@ from graftwood.algebra import (
     product,
 )
 from graftwood.families import b_minus, b_plus, membership
-from graftwood.forest import EMPTY_FOREST, OrderedForest, OrderedTree, concat
+from graftwood.forest import EMPTY_FOREST, OrderedForest, OrderedTree, concat, parse_forest
+from graftwood.grafts import check_identity
 
 MAX_DEGREE = 10
 
@@ -96,3 +98,29 @@ def test_counit_law(word):
         left = left + AlgebraElement.of(b) * (counit(a) * c)
         right = right + AlgebraElement.of(a) * (counit(b) * c)
     assert left == right == AlgebraElement.of(word)
+
+
+@laws
+@given(t_words_of_degree(9, 11))
+def test_coproduct_splitting_identities(word):
+    for name in ("E2a", "E2b", "E2c"):
+        assert check_identity(name, [word]), name
+
+
+@laws
+@given(t_words_of_degree(9, 11))
+def test_one_sided_reduced_parts_sum_to_reduced(word):
+    assert coproduct(word, "precRed") + coproduct(word, "succRed") == coproduct(word, "reduced")
+
+
+@laws
+@given(t_words_of_degree(9, 11))
+def test_reduced_plus_trivials_is_full(word):
+    trivials = Tensor2Element.of(word, EMPTY_FOREST) + Tensor2Element.of(EMPTY_FOREST, word)
+    assert coproduct(word, "reduced") + trivials == coproduct(word)
+
+
+@laws
+@given(t_words_of_degree(9, 11))
+def test_text_parses_back(word):
+    assert parse_forest(word.text) == word

@@ -159,8 +159,9 @@ def test_kernel_dims_shift_the_wrap_trees():
 
 
 def test_kernel_dims_defining_quotient():
-    # f_D * (1 + f_B)^2 == f_B coefficientwise in positive degrees.
-    n_max = 24
+    # f_D * (1 + f_B)^2 == f_B coefficientwise in positive degrees; the table
+    # is built from B_trees alone, so this checks the relation, not a restatement.
+    n_max = MAX_SERIES_DEGREE
     fb = series_coefficients("B_forests", n_max)
     fb[0] = 1
     d = series_coefficients("D_dims", n_max)
