@@ -80,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=("G", "T"), default="G")
     p.add_argument("shape", help="plane tree with all labels 0, e.g. '0[0 0]'")
     p.add_argument("--oracle", action="store_true",
-                   help="also run the brute-force count and compare")
+                   help="also count by the peel-move oracle and compare")
 
     p = sub.add_parser("check", parents=[common], help="run a verification suite")
     p.add_argument("--suite", required=True, choices=SUITES)

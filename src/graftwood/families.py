@@ -31,6 +31,7 @@ import itertools
 import math
 import re
 from functools import lru_cache
+from typing import Iterator
 
 from .forest import (
     _BASIS_OPS,
@@ -40,6 +41,7 @@ from .forest import (
     PlaneTree,
     SINGLE_VERTEX,
     concat,
+    shape_of,
 )
 
 __all__ = [
@@ -103,12 +105,13 @@ def signature_of(forest: OrderedForest) -> str:
     """
     if forest.is_empty:
         raise NotInFamilyError("the empty forest has no signature")
-    n = forest.degree
-    letters = _peel_letters(forest.trees, n)
-    if len(letters) < n - 1:
-        raise NotInFamilyError(
-            "vertex %d is not removable in %s" % (n - len(letters), forest.text)
-        )
+    trees, letters = forest.trees, []
+    for k in range(forest.degree, 1, -1):
+        move = next((m for m in _moves(trees) if m[1].label == k), None)
+        if move is None:
+            raise NotInFamilyError("vertex %d is not removable in %s" % (k, forest.text))
+        letters.append(move[0])
+        trees = move[2]
     return "+" + "".join(reversed(letters))
 
 
@@ -258,93 +261,91 @@ def _words_over(selector: str, n: int) -> frozenset[OrderedForest]:
     return frozenset(out)
 
 
-# --- membership -------------------------------------------------------------
+# --- membership: the peel moves ---------------------------------------------
 
 
-def _peel_letters(trees: tuple[OrderedTree, ...], n: int) -> list[str]:
-    """Remove the labels n, n-1, ..., 2 in turn, one letter per removal: "-"
-    unwraps a lone root, "+" drops a bare last tree or unhangs the last
-    child of the last root.  Stops at the first label no move removes, so
-    the forest lies in G exactly when n - 1 letters come back."""
-    letters = []
-    for k in range(n, 1, -1):
-        if len(trees) == 1 and trees[0].label == k:
-            letters.append("-")
-            trees = trees[0].children
+def _moves(trees: tuple) -> Iterator[tuple[str, tuple, tuple]]:
+    """Each vertex the peel may remove next from a forest of degree >= 2, as
+    (letter, removed vertex, what is left): "-" unwraps a lone root, "+" drops
+    a bare last tree or unhangs the last child of the last root.  The trees
+    may be labelled (``OrderedTree``) or shapes (``PlaneTree``)."""
+    last = trees[-1]
+    kids = last.children
+    if len(trees) == 1:
+        yield "-", last, kids
+    if kids:
+        rest = trees[:-1] + (last._replace(children=kids[:-1]),) + kids[-1].children
+        yield "+", kids[-1], rest
+    else:
+        yield "+", last, trees[:-1]
+
+
+def _g_count(trees: tuple, n: int, floor: int, labelled: bool) -> int:
+    """Complete peel sequences of a degree-n forest, with "-" only while more
+    than ``floor`` vertices are left.  A labelled forest follows the one move
+    that removes its top label, so it counts 1 when it lies in the family."""
+    count, stack = 0, [(trees, n)]
+    while stack:
+        trees, k = stack.pop()
+        if k == 1:
+            count += 1
             continue
-        label, kids = trees[-1]
-        if label == k and not kids:
-            trees = trees[:-1]
-        elif kids and kids[-1].label == k:
-            trees = trees[:-1] + (OrderedTree(label, kids[:-1]),) + kids[-1].children
-        else:
-            break
-        letters.append("+")
-    return letters
+        stack.extend(
+            (rest, k - 1)
+            for letter, removed, rest in _moves(trees)
+            if (letter == "+" or k > floor) and (not labelled or removed.label == k)
+        )
+    return count
 
 
-def _span(t: OrderedTree) -> tuple[int, int, int]:
-    size, mn, mx = 1, t.label, t.label
-    for c in t.children:
-        s, m, x = _span(c)
-        size += s
-        mn = min(mn, m)
-        mx = max(mx, x)
-    return size, mn, mx
-
-
-def _tree_accepts(t: OrderedTree, offset: int, size: int, top: str, moves: str) -> bool:
-    """Peel the top label of a tree whose labels are offset+1..offset+size
-    by one of the ``top`` moves, then what is left as a word built by
-    ``moves``."""
-    if size == 1:
-        return True
-    label, kids = t
-    if label == offset + size:
-        return "-" in top and _word_accepts(kids, offset, moves)
-    if kids and kids[-1].label == offset + size:
-        rest = (OrderedTree(label, kids[:-1]),) + kids[-1].children
-        return "+" in top and _word_accepts(rest, offset, moves)
-    return False
-
-
-def _word_accepts(trees: tuple[OrderedTree, ...], offset: int, moves: str) -> bool:
-    """True when the trees carry consecutive label blocks from offset + 1 on
-    and each block peels down by ``moves``."""
+def _word_count(trees: tuple, offset: int, top: str, moves: str, labelled: bool) -> int:
+    """Product of the trees' peel sequences, each tree on the next consecutive
+    label block from offset + 1 on: its top label by one of the ``top`` moves,
+    then what is left as a word built by ``moves``.  A labelled tree must
+    remove exactly the labels of its block."""
+    total = 1
     for t in trees:
-        size, mn, mx = _span(t)
-        if mn != offset + 1 or mx != offset + size:
-            return False
-        if not _tree_accepts(t, offset, size, moves, moves):
-            return False
+        size = t.degree
+        if size == 1:
+            total *= not labelled or t.label == offset + 1
+        else:
+            total *= sum(
+                _word_count(rest, offset, moves, moves, labelled)
+                for letter, removed, rest in _moves((t,))
+                if letter in top and (not labelled or removed.label == offset + size)
+            )
         offset += size
-    return True
+    return total
 
 
-def _member(kind: str, i: int | None, trees: tuple[OrderedTree, ...], n: int) -> bool:
-    """Membership of the trees of a nonempty degree-n forest (any forest for B)."""
+def _count(kind: str, i: int | None, trees: tuple, n: int, labelled: bool) -> int:
+    """Peel sequences in a family of the trees of a nonempty degree-n forest:
+    for a labelled forest 1 when it is a member and 0 when not, for shapes
+    the number of their labellings in the family."""
     if kind == "B":
-        return _word_accepts(trees, 0, "+-")
+        return _word_count(trees, 0, "+-", "+-", labelled)
     if kind in ("G", "Gi"):
-        letters = _peel_letters(trees, n)
-        # letters[j] removed label n - j; G<i> allows "-" only above n - i
-        return len(letters) == n - 1 and (kind == "G" or "-" not in letters[i:])
+        # G<i> allows "-" only on the labels above n - i
+        return _g_count(trees, n, 0 if kind == "G" else n - i, labelled)
     if len(trees) != 1:
-        return False
+        return 0
     if kind == "Br":
         if n > CLOSURE_MAX_DEGREE:
             raise ValueError(
                 "Br membership is decided against the generated closure, degree <= %d"
                 % CLOSURE_MAX_DEGREE
             )
-        return OrderedForest(trees) in _closure_layer(_BR_OPS, n)
+        layer = _closure_layer(_BR_OPS, n)
+        if labelled:
+            return OrderedForest(trees) in layer
+        return sum(shape_of(f) == trees for f in layer)
     top, below = _TREE_FAMILIES[kind]
-    return _tree_accepts(trees[0], 0, n, top, _TREE_FAMILIES[below][0])
+    return _word_count(trees, 0, top, _TREE_FAMILIES[below][0], labelled)
 
 
 def is_basis_forest(forest: OrderedForest) -> bool:
     """True when the forest is a word over T trees (the empty word counts)."""
-    return _member("B", None, forest.trees, forest.degree)
+    return bool(_word_count(forest.trees, 0, "+-", "+-", True))
 
 
 def membership(selector: str, forest: OrderedForest) -> bool:
@@ -356,7 +357,7 @@ def membership(selector: str, forest: OrderedForest) -> bool:
     kind, i = _parse_selector(selector)
     if forest.is_empty:
         return kind == "B"
-    return _member(kind, i, forest.trees, forest.degree)
+    return bool(_count(kind, i, forest.trees, forest.degree, True))
 
 
 # --- counting indexings of a shape ------------------------------------------
@@ -398,28 +399,21 @@ def _t_indexings(v: PlaneTree) -> int:
     return total
 
 
-def _labelled(shape: PlaneTree, it) -> OrderedTree:
-    """The shape labelled in preorder by the labels ``it`` yields."""
-    if not shape.children:
-        return OrderedTree(next(it))
-    return OrderedTree(next(it), tuple([_labelled(c, it) for c in shape.children]))
-
-
 def oracle_count_indexings(shape: PlaneTree, family: str = "G") -> int:
-    """Brute force over all n! labellings of the shape.
+    """Count the complete peel move sequences of the unlabelled shape.
 
-    Independent of the counting formulas: each labelling is tested by the
-    membership peel.  Guarded to degree <= 8.
+    Each sequence labels the vertex removed at step k by k, and a labelling
+    lies in the family exactly when its peel follows one, so the sequences
+    are the labellings.  Independent of the counting formulas.  A T word
+    multiplies over its trees' consecutive label blocks; Br, decided against
+    its generated closure, counts that closure's trees of the shape.
+    Guarded to degree <= 8.
     """
     n = shape.degree
     if n > ENUMERATION_MAX_DEGREE:
         raise ValueError("oracle is limited to degree <= %d" % ENUMERATION_MAX_DEGREE)
     kind, i = _parse_selector(family)
-    count = 0
-    for perm in itertools.permutations(range(1, n + 1)):
-        if _member(kind, i, (_labelled(shape, iter(perm)),), n):
-            count += 1
-    return count
+    return _count(kind, i, (shape,), n, False)
 
 
 # --- canonical indexings and ladders ----------------------------------------

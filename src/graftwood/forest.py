@@ -6,8 +6,9 @@ label, an inner vertex as ``label[child child ...]``, sibling trees are
 separated by single spaces, and the empty forest prints as ``()``.
 
 Trees and shapes are immutable named tuples, ``(label, children)`` and
-``(children,)``, that hash and compare as plain tuples; a forest is a frozen
-dataclass over its trees that caches its degree and its text.  ``standardize``
+``(children,)``, that hash and compare as plain tuples; a forest is an
+immutable slotted object over its trees that takes its hash once, when it is
+built, and its degree and its text once, when first asked.  ``standardize``
 and ``concat`` are memoised on those tuples and return shared forests, so each
 distinct cut leg is relabelled, measured and printed once.  Cuts are not
 memoised: the coproduct in :mod:`graftwood.algebra` keeps its own results.
@@ -21,8 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
 
@@ -56,15 +56,46 @@ class OrderedTree(NamedTuple):
         return "%d[%s]" % (self.label, " ".join(str(c) for c in self.children))
 
 
-@dataclass(frozen=True)
 class OrderedForest:
-    """A sequence of ordered trees; the labels are expected to be 1..degree."""
+    """A sequence of ordered trees; the labels are expected to be 1..degree.
 
-    trees: tuple[OrderedTree, ...] = ()
+    Immutable and without an instance ``__dict__``.  The hash is taken once,
+    at construction, and equals ``hash((trees,))``, so sets of forests
+    iterate as they would for that tuple.
+    """
 
-    @cached_property
+    __slots__ = ("trees", "_hash", "_degree", "_text")
+
+    def __init__(self, trees: tuple[OrderedTree, ...] = ()):
+        object.__setattr__(self, "trees", trees)
+        object.__setattr__(self, "_hash", hash((trees,)))
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError("cannot assign to field %r" % name)
+
+    __delattr__ = __setattr__
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (self._hash == other._hash and self.trees == other.trees)
+
+    def __reduce__(self):
+        return OrderedForest, (self.trees,)
+
+    def __repr__(self) -> str:
+        return "OrderedForest(trees=%r)" % (self.trees,)
+
+    @property
     def degree(self) -> int:
-        return sum(t.degree for t in self.trees)
+        try:
+            return self._degree
+        except AttributeError:
+            object.__setattr__(self, "_degree", sum(t.degree for t in self.trees))
+            return self._degree
 
     @property
     def is_empty(self) -> bool:
@@ -74,9 +105,13 @@ class OrderedForest:
     def is_tree(self) -> bool:
         return len(self.trees) == 1
 
-    @cached_property
+    @property
     def text(self) -> str:
-        return format_forest(self)
+        try:
+            return self._text
+        except AttributeError:
+            object.__setattr__(self, "_text", format_forest(self))
+            return self._text
 
     def labels(self) -> Iterator[int]:
         for t in self.trees:

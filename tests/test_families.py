@@ -394,14 +394,24 @@ def test_oracle_generic_path_agrees():
         1 for f in generate_set("Tminus", 4) if shape_of(f)[0] == shape
     )
     # every family against its own enumeration, shape by shape
-    for n in range(1, 6):
+    for n in range(1, 8):
         for family in ("G", "G0", "G1", "G2", "T", "Tplus", "Tminus", "Bl", "Br"):
-            trees = [f for f in generate_set(family, n) if f.is_tree]
-            for shape in all_shapes(n):
-                expected = sum(1 for f in trees if shape_of(f)[0] == shape)
-                assert oracle_count_indexings(shape, family) == expected, (str(shape), family)
+            tally = Counter(shape_of(f)[0] for f in generate_set(family, n) if f.is_tree)
+            shapes = all_shapes(n)
+            assert set(tally) <= set(shapes)
+            for shape in shapes:
+                assert oracle_count_indexings(shape, family) == tally[shape], (str(shape), family)
     with pytest.raises(ValueError):
         oracle_count_indexings(PlaneTree((PlaneTree(),) * 8), "G")
+
+
+def test_oracle_matches_counts_on_every_shape_at_degree_8():
+    shapes = [shape_of(f)[0] for f in generate_set("Bl", 8)]
+    assert len(shapes) == 429
+    for shape in shapes:
+        for family in ("G", "T"):
+            expected = count_indexings(shape, family)
+            assert oracle_count_indexings(shape, family) == expected, (str(shape), family)
 
 
 # --- canonical indexings and ladders -----------------------------------------

@@ -108,6 +108,18 @@ def test_tree_types_are_immutable_tuples():
     for obj in (tree, shape, parse_forest("2[4[1] 3] 5")):
         copy = pickle.loads(pickle.dumps(obj))
         assert copy == obj and type(copy) is type(obj) and str(copy) == str(obj)
+    forest = parse_forest("2[4[1] 3] 5")
+    assert hash(forest) == hash((forest.trees,))
+    assert not hasattr(forest, "__dict__")
+    with pytest.raises(AttributeError):
+        setattr(forest, "trees", ())
+    copy = pickle.loads(pickle.dumps(forest))
+    assert copy == forest and hash(copy) == hash(forest)
+    assert repr(forest) == (
+        "OrderedForest(trees=(OrderedTree(label=2, children=(OrderedTree(label=4, "
+        "children=(OrderedTree(label=1, children=()),)), OrderedTree(label=3, children=()))), "
+        "OrderedTree(label=5, children=())))"
+    )
 
 
 def test_standardize_subforest():
