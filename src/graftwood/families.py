@@ -28,7 +28,6 @@ families are carved out of this picture:
 from __future__ import annotations
 
 import itertools
-import math
 import re
 from functools import lru_cache
 from typing import Iterator
@@ -383,20 +382,18 @@ def count_indexings(shape: PlaneTree, family: str) -> int:
             node = node.children[0]
         return total
     if family == "T":
-        return _t_indexings(shape)
+        return _t_indexings(shape)[0]
     raise ValueError("count_indexings supports the families 'G' and 'T', got %r" % family)
 
 
-@lru_cache(maxsize=None)
-def _t_indexings(v: PlaneTree) -> int:
-    if not v.children:
-        return 1
-    avals = [_t_indexings(c) for c in v.children]
-    gprod = [math.prod(_t_indexings(d) for d in c.children) for c in v.children]
-    total = math.prod(avals)
-    for i in range(len(avals)):
-        total += math.prod(avals[:i]) * math.prod(gprod[i:])
-    return total
+def _t_indexings(v: PlaneTree) -> tuple[int, int]:
+    """(a(v), the product of a over v's children), with the split terms
+    summed from the last child back in one pass."""
+    total, splits, tail = 1, 0, 1
+    for a, below in map(_t_indexings, reversed(v.children)):
+        total, tail = total * a, tail * below
+        splits = a * splits + tail
+    return total + splits, total
 
 
 def oracle_count_indexings(shape: PlaneTree, family: str = "G") -> int:

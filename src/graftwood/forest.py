@@ -139,75 +139,45 @@ class PlaneTree(NamedTuple):
 EMPTY_FOREST = OrderedForest(())
 SINGLE_VERTEX = OrderedForest((OrderedTree(1),))
 
-_TOKEN = re.compile(r"[0-9]+|\[|\]|\s+")
+_TOKEN = re.compile(r"[0-9]+|[\[\]]")
+_STRAY = re.compile(r"[^0-9\[\]\s]")
 
-# Deepest root-to-leaf path, in vertices, that the parser accepts.  The tree
-# walks recurse once per level, and nwarrow stacks one input on the other, so
-# the cap keeps twice its depth within Python's default recursion limit.
+# Deepest root-to-leaf path, in vertices, that the parser accepts (the README
+# states the rule).  The parser keeps its own stack, but the other tree walks
+# recurse once per level and nwarrow stacks one input on the other, so the cap
+# keeps twice its depth within Python's default recursion limit.
 _MAX_DEPTH = 100
 
 
-def _tokenize(text: str) -> list[str]:
-    tokens = []
-    pos = 0
-    for m in _TOKEN.finditer(text):
-        if m.start() != pos:
-            raise ForestSyntaxError(
-                "unexpected character %r at position %d" % (text[pos], pos)
-            )
-        pos = m.end()
-        tok = m.group()
-        if not tok.isspace():
-            tokens.append(tok)
-    if pos != len(text):
+def _parse_trees(text: str) -> tuple[OrderedTree, ...]:
+    """The trees of a stripped, nonempty forest text, read in one pass."""
+    stray = _STRAY.search(text)
+    if stray:
         raise ForestSyntaxError(
-            "unexpected character %r at position %d" % (text[pos], pos)
+            "unexpected character %r at position %d" % (stray.group(), stray.start())
         )
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens: list[str]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise ForestSyntaxError("unexpected end of input")
-        self.pos += 1
-        return tok
-
-    def parse_tree(self, depth: int = 1) -> OrderedTree:
-        tok = self.take()
-        if not tok.isdigit():
+    levels: list[list[OrderedTree]] = [[]]  # the trees read so far at each open depth
+    prev = "["  # a label must come first
+    for tok in _TOKEN.findall(text):
+        if tok == "]" and prev != "[":
+            if len(levels) == 1:
+                raise ForestSyntaxError("unbalanced closing bracket")
+            kids = tuple(levels.pop())
+            levels[-1][-1] = OrderedTree(levels[-1][-1].label, kids)
+        elif tok == "[" and prev.isdigit():
+            levels.append([])
+        elif not tok.isdigit():
             raise ForestSyntaxError("expected a label, got %r" % tok)
-        if len(tok) > 1 and tok[0] == "0":
+        elif len(tok) > 1 and tok[0] == "0":
             raise ForestSyntaxError("label %r has a leading zero" % tok)
-        if depth > _MAX_DEPTH:
+        elif len(levels) > _MAX_DEPTH:
             raise ForestSyntaxError("trees nested deeper than %d vertices" % _MAX_DEPTH)
-        label = int(tok)
-        children: tuple[OrderedTree, ...] = ()
-        if self.peek() == "[":
-            self.take()
-            kids = [self.parse_tree(depth + 1)]
-            while self.peek() is not None and self.peek() != "]":
-                kids.append(self.parse_tree(depth + 1))
-            if self.take() != "]":
-                raise ForestSyntaxError("missing closing bracket")
-            children = tuple(kids)
-        return OrderedTree(label, children)
-
-    def parse_forest(self) -> tuple[OrderedTree, ...]:
-        trees = [self.parse_tree()]
-        while self.peek() is not None and self.peek() != "]":
-            trees.append(self.parse_tree())
-        if self.peek() is not None:
-            raise ForestSyntaxError("unbalanced closing bracket")
-        return tuple(trees)
+        else:
+            levels[-1].append(OrderedTree(int(tok)))
+        prev = tok
+    if prev == "[" or len(levels) > 1:
+        raise ForestSyntaxError("unexpected end of input")
+    return tuple(levels[0])
 
 
 def parse_forest(text: str) -> OrderedForest:
@@ -220,7 +190,7 @@ def parse_forest(text: str) -> OrderedForest:
         return EMPTY_FOREST
     if not stripped:
         raise ForestSyntaxError("empty input (the empty forest is written '()')")
-    trees = _Parser(_tokenize(stripped)).parse_forest()
+    trees = _parse_trees(stripped)
     forest = OrderedForest(trees)
     seen = sorted(forest.labels())
     if seen != list(range(1, forest.degree + 1)):
@@ -242,7 +212,7 @@ def parse_plane_tree(text: str) -> PlaneTree:
     stripped = text.strip()
     if not stripped or stripped == "()":
         raise ForestSyntaxError("a plane tree needs at least one vertex")
-    trees = _Parser(_tokenize(stripped)).parse_forest()
+    trees = _parse_trees(stripped)
     if len(trees) != 1:
         raise ForestSyntaxError("expected a single tree, got %d" % len(trees))
     return shape_of(OrderedForest(trees))[0]

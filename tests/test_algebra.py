@@ -1,6 +1,7 @@
 """Span arithmetic, the cut coproduct and variants, antipode, primitives."""
 
 import copy
+import itertools
 import random
 from fractions import Fraction
 from math import comb
@@ -48,6 +49,28 @@ def small_forests(max_degree):
         out.extend(sorted(generate_set("G", n) | generate_words("T", n),
                           key=lambda f: f.text))
     return out
+
+
+def labelled_forests(max_degree):
+    """Every labelled plane forest of degree 1..max_degree, words or not: each
+    plane forest takes every order of the labels on its vertices in preorder."""
+
+    def templates(n):  # the plane forests of n vertices, "{}" for each label
+        if n == 0:
+            return [""]
+        return [
+            ("{}[%s]" % kids if kids else "{}") + (" " + rest if rest else "")
+            for k in range(1, n + 1)
+            for kids in templates(k - 1)
+            for rest in templates(n - k)
+        ]
+
+    return [
+        P(t.format(*labels))
+        for n in range(1, max_degree + 1)
+        for t in templates(n)
+        for labels in itertools.permutations(range(1, n + 1))
+    ]
 
 
 def basis_forests(max_degree, include_unit=False):
@@ -295,7 +318,9 @@ def _reference_coproducts(f):
 
 
 def test_coproduct_matches_the_sum_over_all_cuts_of_the_whole_forest():
-    forests = small_forests(5) + sorted(generate_words("T", 6), key=lambda f: f.text)
+    every = labelled_forests(4)
+    assert len(every) == len(set(every)) == 371
+    forests = small_forests(5) + every + sorted(generate_words("T", 6), key=lambda f: f.text)
     # all six variants on all 4,279 degree-7 words take several seconds: a seeded sample
     forests += random.Random(7).sample(sorted(generate_words("T", 7), key=lambda f: f.text), 500)
     for f in forests:

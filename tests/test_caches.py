@@ -44,7 +44,6 @@ MEMOS = (
     "graftwood.families._tree_layer",
     "graftwood.families._closure_layer",
     "graftwood.families._words_over",
-    "graftwood.families._t_indexings",
 )
 
 

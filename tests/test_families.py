@@ -334,6 +334,8 @@ COUNT_CASES = [
     ("0[0 0[0]]", "T", 4),
     ("0[0[0[0]]]", "G", 4),
     ("0[0[0[0]]]", "T", 5),
+    # a star with k leaves has k + 1 T indexings; large, to keep the count linear
+    pytest.param("0[%s]" % " ".join(["0"] * 20000), "T", 20001, id="star-20000-T-20001"),
 ]
 
 

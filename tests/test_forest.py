@@ -4,6 +4,8 @@ import itertools
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graftwood.families import generate_set
 from graftwood.forest import (
@@ -56,14 +58,72 @@ def test_parse_normalizes_whitespace():
     assert parse_forest("  2[ 4[1]   3 ] ").text == "2[4[1] 3]"
 
 
-@pytest.mark.parametrize(
-    "bad",
-    ["", "1 1", "1 3", "0", "2", "1[", "1]", "[1]", "1[2", "a", "1,2", "() 1",
-     "\u0661", "1[\uff12]", "01", "1[02]", "2[1] 03"],
-)
+# each rejected text with its message
+REJECTS = {
+    "": "empty input (the empty forest is written '()')",
+    "1 1": "labels must be exactly 1..2, got [1, 1]",
+    "1 3": "labels must be exactly 1..2, got [1, 3]",
+    "0": "labels must be exactly 1..1, got [0]",
+    "2": "labels must be exactly 1..1, got [2]",
+    "1[": "unexpected end of input",
+    "1]": "unbalanced closing bracket",
+    "[1]": "expected a label, got '['",
+    "1[2": "unexpected end of input",
+    "a": "unexpected character 'a' at position 0",
+    "1,2": "unexpected character ',' at position 1",
+    "() 1": "unexpected character '(' at position 0",
+    "\u0661": "unexpected character '\u0661' at position 0",
+    "1[\uff12]": "unexpected character '\uff12' at position 2",
+    "01": "label '01' has a leading zero",
+    "1[02]": "label '02' has a leading zero",
+    "2[1] 03": "label '03' has a leading zero",
+    "1[]": "expected a label, got ']'",
+    "1[2] [3]": "expected a label, got '['",
+    "1[2]]": "unbalanced closing bracket",
+    "1[2 3]x": "unexpected character 'x' at position 6",
+    # a stray character is reported before any grammar error
+    "1]x": "unexpected character 'x' at position 2",
+}
+
+
+@pytest.mark.parametrize("bad", list(REJECTS))
 def test_parse_rejects(bad):
-    with pytest.raises(ForestSyntaxError):
+    with pytest.raises(ForestSyntaxError) as err:
         parse_forest(bad)
+    assert str(err.value) == REJECTS[bad]
+
+
+_CHARS = st.sampled_from("0123456789[] \t\u00a0x(,\u0661")
+
+
+@st.composite
+def near_forest_texts(draw):
+    """A forest's text with up to three characters inserted, dropped or replaced."""
+    texts = ROUND_TRIPS + ["1[2[3] 4[5 6]] 7", "10[9 8[7]] 6 5[4 3[2 1]]"]
+    text = list(draw(st.sampled_from(texts)))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        text[i : i + draw(st.integers(0, 1))] = draw(st.text(_CHARS, max_size=1))
+    return "".join(text)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@given(st.one_of(st.text(_CHARS, max_size=16), near_forest_texts()))
+def test_parse_accepts_or_rejects_cleanly(text):
+    """Any string parses to a forest that reads back from its text, or raises
+    ForestSyntaxError; no other exception escapes."""
+    try:
+        forest = parse_forest(text)
+    except ForestSyntaxError:
+        pass
+    else:
+        assert parse_forest(forest.text) == forest
+    try:
+        shape = parse_plane_tree(text)
+    except ForestSyntaxError:
+        pass
+    else:
+        assert parse_plane_tree(str(shape)) == shape
 
 
 def _chain(n):
