@@ -13,11 +13,13 @@ Variants restrict which cuts contribute:
 * ``succRed``   nontrivial cuts keeping the rightmost leaf.
 
 A forest is the product b1·…·bk of its blocks (``forest.blocks``) and the
-coproduct is multiplicative, so an unreduced variant is Δ(b1)·…·Δ(bk) with its
-cut condition on one end block: b1 for ``full`` and ``leftRoot``, bk for the
-rest.  A reduced variant is its unreduced companion less f⊗() and ()⊗f.  The
-antipode reverses products, S(a·b) = S(b)·S(a): only a single block has its
-cuts enumerated or recurses over its full coproduct.
+coproduct is multiplicative, so a word folds over its memoised prefix
+p = b1·…·b(k−1): an unreduced variant v is Δ_v(p)·Δ(bk) for ``full`` and
+``leftRoot`` and Δ(p)·Δ_v(bk) for the rest.  On one block the cuts that extract
+the rightmost leaf are those that do not keep it: leafExtracted = full − leafKept.
+A reduced variant is its unreduced companion less f⊗() and ()⊗f.  The antipode
+reverses products, S(a·b) = S(b)·S(a): only a single block has its cuts
+enumerated or recurses over its full coproduct.
 """
 
 from __future__ import annotations
@@ -61,13 +63,7 @@ __all__ = [
 def _clean(terms: dict) -> dict:
     """Drop zero terms; keep ``int`` coefficients, make any other scalar an
     exact ``Fraction``."""
-    out = {}
-    for key, coeff in terms.items():
-        if type(coeff) is not int:
-            coeff = Fraction(coeff)
-        if coeff:
-            out[key] = coeff
-    return out
+    return {k: v for k, c in terms.items() if (v := c if type(c) is int else Fraction(c))}
 
 
 def _sum(pairs) -> dict:
@@ -137,13 +133,22 @@ class _Combination:
 
 def _bilinear(op, x: _Combination, y: _Combination) -> _Combination:
     """Extend an operation on keys bilinearly; keys it maps to None drop."""
-    pairs = ((op(key, key2), c * d) for key, c in x.terms.items() for key2, d in y.terms.items())
-    return type(x)(_sum(pair for pair in pairs if pair[0] is not None))
+    out: dict = {}
+    for key, c in x.terms.items():
+        for key2, d in y.terms.items():
+            prod = op(key, key2)
+            if prod is not None:
+                out[prod] = out.get(prod, 0) + c * d
+    return type(x)(out)
 
 
 def _linear(op, x: _Combination, cls) -> _Combination:
     """Extend a map from keys to combinations of type ``cls`` linearly."""
-    return cls(_sum((key, c * d) for k, c in x.terms.items() for key, d in op(k).terms.items()))
+    out: dict = {}
+    for k, c in x.terms.items():
+        for key, d in op(k).terms.items():
+            out[key] = out.get(key, 0) + c * d
+    return cls(out)
 
 
 class AlgebraElement(_Combination):
@@ -255,21 +260,20 @@ def _forest_coproduct(forest: OrderedForest, variant: str) -> Tensor2Element:
         terms.pop((EMPTY_FOREST, forest), None)
         return Tensor2Element(terms)
     factors = blocks(forest)
-    if len(factors) > 1:  # Δ(b1·…·bk) = Δ(b1)·…·Δ(bk), the condition on one end block
+    if len(factors) > 1:  # Δ(b1·…·bk) = Δ(b1·…·b(k−1))·Δ(bk), the condition on an end block
         _check_cut_budget(forest)  # the cuts of the whole forest, as for a single block
-        conditions = ["full"] * len(factors)
-        conditions[0 if variant in ("full", "leftRoot") else -1] = variant
-        return reduce(mul, map(_forest_coproduct, factors, conditions))
+        prefix = OrderedForest(forest.trees[: len(forest.trees) - len(factors[-1].trees)])
+        if variant in ("full", "leftRoot"):
+            return _forest_coproduct(prefix, variant) * _forest_coproduct(factors[-1], "full")
+        return _forest_coproduct(prefix, "full") * _forest_coproduct(factors[-1], variant)
+    if variant == "leafExtracted":  # the cuts that leafKept leaves out
+        return _forest_coproduct(forest, "full") - _forest_coproduct(forest, "leafKept")
     roots = root_labels(forest)
-    leaf_path = frozenset(rightmost_path(forest) if roots else ())
-    keep = {
-        "full": lambda cut: True,
-        "leftRoot": lambda cut: cut.isdisjoint(roots[:1]),
-        "rightRoot": lambda cut: cut.isdisjoint(roots[-1:]),
-        "leafExtracted": lambda cut: not cut.isdisjoint(leaf_path),
-        "leafKept": lambda cut: cut.isdisjoint(leaf_path),
-    }[variant]
-    return Tensor2Element(_sum((cut_split(forest, c), 1) for c in admissible_cuts(forest) if keep(c)))
+    path = rightmost_path(forest) if roots else ()
+    # each condition on a single block: the cut avoids these vertices
+    avoid = {"full": (), "leftRoot": roots[:1], "rightRoot": roots[-1:], "leafKept": path}[variant]
+    cuts = (c for c in admissible_cuts(forest) if c.isdisjoint(avoid))
+    return Tensor2Element(_sum((cut_split(forest, c), 1) for c in cuts))
 
 
 def coproduct(x, variant: str = "full") -> Tensor2Element:
@@ -329,13 +333,13 @@ def _antipode_forest(forest: OrderedForest) -> AlgebraElement:
     factors = blocks(forest)
     if len(factors) > 1:  # S(b1·…·bk) = S(bk)·…·S(b1)
         return reduce(mul, map(_antipode_forest, reversed(factors)))
-    terms = (  # from m(S⊗id)Δ(f) = 0
-        (concat(g, roo), -c * d)
-        for (lea, roo), c in _forest_coproduct(forest, "full").terms.items()
-        if not roo.is_empty  # only the total cut leaves nothing
-        for g, d in _antipode_forest(lea).terms.items()
-    )
-    return AlgebraElement(_sum(terms))
+    out: dict = {}  # from m(S⊗id)Δ(f) = 0
+    for (lea, roo), c in _forest_coproduct(forest, "full").terms.items():
+        if not roo.is_empty:  # only the total cut leaves nothing
+            for g, d in _antipode_forest(lea).terms.items():
+                key = concat(g, roo)
+                out[key] = out.get(key, 0) - c * d
+    return AlgebraElement(out)
 
 
 def prim_tot_dimension(n: int, max_degree: int = DEFAULT_ANTIPODE_DEGREE) -> int:
@@ -349,16 +353,16 @@ def prim_tot_dimension(n: int, max_degree: int = DEFAULT_ANTIPODE_DEGREE) -> int
             % (max_degree, n)
         )
     basis = sorted(generate_words("T", n), key=lambda f: f.text)
-    rows = [
-        {  # pivots by left-leg degree first: far less fill-in than by text
-            (tag, lea.degree, lea.text, roo.text): c
-            for tag, variant in ((0, "leafExtracted"), (1, "leafKept"))
-            for (lea, roo), c in _forest_coproduct(f, variant).terms.items()
-            if not (lea.is_empty or roo.is_empty)  # the precRed and succRed terms
-        }
-        for f in basis
-    ]
-    return len(basis) - _sparse_rank(rows)
+
+    def terms(f):  # the precRed and succRed terms of f, each pair tagged by its side
+        return (((tag, a, b), c) for tag, v in enumerate(("leafExtracted", "leafKept"))
+                for (a, b), c in _forest_coproduct(f, v).terms.items() if a.trees and b.trees)
+
+    keys = {key for f in basis for key, _ in terms(f)}
+    # integer columns in pivot order, left-leg degree first: far less fill-in than by text
+    keys = sorted(keys, key=lambda k: (k[0], k[1].degree, k[1].text, k[2].text))
+    column = {key: i for i, key in enumerate(keys)}
+    return len(basis) - _sparse_rank([{column[key]: c for key, c in terms(f)} for f in basis])
 
 
 def _sparse_rank(rows: list[dict]) -> int:

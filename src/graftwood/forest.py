@@ -9,9 +9,9 @@ Trees and shapes are immutable named tuples, ``(label, children)`` and
 ``(children,)``, that hash and compare as plain tuples; a forest is an
 immutable slotted object over its trees that takes its hash once, when it is
 built, and its degree and its text once, when first asked.  ``standardize``
-and ``concat`` are memoised on those tuples and return shared forests, so each
-distinct cut leg is relabelled, measured and printed once.  Cuts are not
-memoised: the coproduct in :mod:`graftwood.algebra` keeps its own results.
+is memoised on the trees and ``concat`` on the two forests; both return
+shared forests, so each distinct cut leg is relabelled, measured and printed
+once.  Cuts are not memoised: the coproduct keeps its own results.
 
 Everything in this module is plain tree surgery; linear combinations live in
 :mod:`graftwood.algebra`.
@@ -45,10 +45,8 @@ class OrderedTree(NamedTuple):
         return 1 + sum(c.degree for c in self.children)
 
     def labels(self) -> Iterator[int]:
-        """Yield all vertex labels in preorder."""
-        yield self.label
-        for c in self.children:
-            yield from c.labels()
+        """All vertex labels in preorder."""
+        return iter(_preorder((self,)))
 
     def __str__(self) -> str:
         if not self.children:
@@ -114,8 +112,7 @@ class OrderedForest:
             return self._text
 
     def labels(self) -> Iterator[int]:
-        for t in self.trees:
-            yield from t.labels()
+        return iter(_preorder(self.trees))
 
     def __str__(self) -> str:
         return self.text
@@ -147,6 +144,17 @@ _STRAY = re.compile(r"[^0-9\[\]\s]")
 # recurse once per level and nwarrow stacks one input on the other, so the cap
 # keeps twice its depth within Python's default recursion limit.
 _MAX_DEPTH = 100
+_MAX_DIGITS = 4300  # longest label: Python's default limit on the digits int() reads
+
+
+def _preorder(trees: Sequence[OrderedTree]) -> list[int]:
+    """The labels of the trees in preorder, walked with an explicit stack."""
+    out, stack = [], list(reversed(trees))
+    while stack:
+        t = stack.pop()
+        out.append(t.label)
+        stack.extend(reversed(t.children))
+    return out
 
 
 def _parse_trees(text: str) -> tuple[OrderedTree, ...]:
@@ -170,6 +178,8 @@ def _parse_trees(text: str) -> tuple[OrderedTree, ...]:
             raise ForestSyntaxError("expected a label, got %r" % tok)
         elif len(tok) > 1 and tok[0] == "0":
             raise ForestSyntaxError("label %r has a leading zero" % tok)
+        elif len(tok) > _MAX_DIGITS:
+            raise ForestSyntaxError("label has %d digits, more than %d" % (len(tok), _MAX_DIGITS))
         elif len(levels) > _MAX_DEPTH:
             raise ForestSyntaxError("trees nested deeper than %d vertices" % _MAX_DEPTH)
         else:
@@ -247,24 +257,24 @@ def standardize(vertices: Sequence[OrderedTree] | OrderedForest) -> OrderedFores
 
 @lru_cache(maxsize=None)
 def _standardized(trees: tuple[OrderedTree, ...]) -> OrderedForest:
-    labels = sorted(l for t in trees for l in t.labels())
+    labels = sorted(_preorder(trees))
     remap = {old: new for new, old in enumerate(labels, start=1)}
     return OrderedForest(tuple(_relabel(t, remap.__getitem__) for t in trees))
 
 
 def concat(left: OrderedForest, right: OrderedForest) -> OrderedForest:
     """Concatenate, shifting the right factor's labels up by the left degree; memoised."""
-    if left.is_empty:
+    if not left.trees:
         return right
-    if right.is_empty:
+    if not right.trees:
         return left
-    return _concatenated(left.trees, right.trees)
+    return _concatenated(left, right)
 
 
 @lru_cache(maxsize=None)
-def _concatenated(left: tuple[OrderedTree, ...], right: tuple[OrderedTree, ...]) -> OrderedForest:
-    k = sum(t.degree for t in left)
-    return OrderedForest(left + tuple(_relabel(t, k.__add__) for t in right))
+def _concatenated(left: OrderedForest, right: OrderedForest) -> OrderedForest:
+    k = left.degree
+    return OrderedForest(left.trees + tuple(_relabel(t, k.__add__) for t in right.trees))
 
 
 def blocks(forest: OrderedForest) -> tuple[OrderedForest, ...]:
@@ -351,16 +361,23 @@ def cut_split(
     encounter order; the remainder is what is left after removing them.
     """
     cut = frozenset(cut)
-    extracted: list[OrderedTree] = []
-
-    def prune(t: OrderedTree) -> OrderedTree | None:
-        if t.label in cut:
-            extracted.append(t)
-            return None
-        kept = tuple(k for k in (prune(c) for c in t.children) if k is not None)
-        return t if kept == t.children else OrderedTree(t.label, kept)
-
-    remainder = tuple(r for r in (prune(t) for t in forest.trees) if r is not None)
+    extracted, remainder = [], []
+    stack = [(None, iter(forest.trees), remainder)]  # (vertex, children to visit, kept)
+    while stack:
+        t, todo, kept = stack[-1]
+        for c in todo:
+            if c.label in cut:
+                extracted.append(c)
+            elif c.children:
+                stack.append((c, iter(c.children), []))
+                break
+            else:
+                kept.append(c)
+        else:
+            stack.pop()
+            if t is not None:
+                kids = tuple(kept)
+                stack[-1][2].append(t if kids == t.children else OrderedTree(t.label, kids))
     # the walk stops at every cut vertex, so a cut label it never reached
     # lies outside the forest or below another cut vertex
     if len(extracted) != len(cut):

@@ -7,6 +7,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graftwood import algebra
 from graftwood.algebra import (
@@ -28,8 +30,10 @@ from graftwood.forest import (
     EMPTY_FOREST,
     OrderedForest,
     admissible_cuts,
+    blocks,
     cut_split,
     parse_forest,
+    rightmost_path,
 )
 
 P = parse_forest
@@ -346,6 +350,28 @@ def test_reduced_plus_trivials_is_full():
         assert full == coproduct(f), f.text
 
 
+def test_leaf_extracted_and_leaf_kept_cuts_split_full():
+    trees = [f for n in range(1, 7) for f in generate_set("T", n) if f.is_tree]
+    for f in trees + labelled_forests(4):
+        halves = [algebra._forest_coproduct(f, v) for v in ("leafExtracted", "leafKept")]
+        assert halves[0] + halves[1] == coproduct(f), f.text
+
+
+@pytest.mark.parametrize("text", ["1[2[3] 4]", "3[1 4] 2", "2 1", "2 3 1"])
+def test_leaf_extracted_of_a_cached_block_splits_only_leaf_kept_cuts(monkeypatch, text):
+    f = P(text)
+    assert blocks(f) == (f,)
+    algebra._forest_coproduct.cache_clear()
+    full = coproduct(f)
+    seen = []
+    inner = algebra.cut_split
+    monkeypatch.setattr(algebra, "cut_split", lambda g, cut: seen.append(cut) or inner(g, cut))
+    prec = coproduct(f, "precRed")
+    path = set(rightmost_path(f))
+    assert seen == [cut for cut in admissible_cuts(f) if not cut & path]
+    assert prec + coproduct(f, "succRed") == coproduct(f, "reduced") != full
+
+
 def test_coproduct_is_multiplicative():
     forests = [EMPTY_FOREST, P("1"), P("1 2"), P("1[2]"), P("2[1]"), P("1[2 3]")]
     for x in forests:
@@ -366,6 +392,20 @@ def test_one_sided_coproducts_mixed_coassociativity():
         assert expand_left(dl, "full") == expand_right(dl, "leftRoot"), f.text
         dr = coproduct(f, "rightRoot")
         assert expand_left(dr, "full") == expand_right(dr, "rightRoot"), f.text
+
+
+def test_hopf_laws_on_every_labelled_forest():
+    """Coassociativity, the counit law and the antipode law on all 371 labelled
+    forests of degree <= 4, multi-tree blocks such as 2 1 and 2 3 1 included."""
+    zero, unit = AlgebraElement.zero(), AlgebraElement.of
+    for f in labelled_forests(4):
+        d = coproduct(f)
+        assert expand_left(d) == expand_right(d), f.text
+        terms = d.terms.items()
+        assert sum((unit(b) * (counit(a) * c) for (a, b), c in terms), zero) == unit(f), f.text
+        assert sum((unit(a) * (counit(b) * c) for (a, b), c in terms), zero) == unit(f), f.text
+        assert sum((product(antipode(a), b) * c for (a, b), c in terms), zero) == zero, f.text
+        assert sum((product(a, antipode(b)) * c for (a, b), c in terms), zero) == zero, f.text
 
 
 def test_counit_axiom():
@@ -506,7 +546,8 @@ def test_prim_tot_dimension_degree_6():
 
 
 def _dense_rank(rows):
-    """Rank over Q by textbook Gaussian elimination on a dense Fraction matrix."""
+    """Rank over Q by textbook Gaussian elimination on a dense Fraction matrix;
+    rows with a zero in the pivot column and the pivot row's zeros are skipped."""
     cols = sorted({k for row in rows for k in row})
     matrix = [[Fraction(row.get(k, 0)) for k in cols] for row in rows]
     rank = 0
@@ -515,9 +556,13 @@ def _dense_rank(rows):
         if lead is None:
             continue
         matrix[rank], matrix[lead] = matrix[lead], matrix[rank]
-        for i in range(rank + 1, len(matrix)):
-            factor = matrix[i][j] / matrix[rank][j]
-            matrix[i] = [a - factor * b for a, b in zip(matrix[i], matrix[rank])]
+        pivot = matrix[rank]
+        support = [k for k in range(j, len(cols)) if pivot[k]]
+        for row in matrix[rank + 1 :]:
+            if row[j]:
+                factor = row[j] / pivot[j]
+                for k in support:
+                    row[k] -= factor * pivot[k]
         rank += 1
     return rank
 
@@ -557,6 +602,31 @@ def test_sparse_rank_matches_dense_fraction_elimination():
             shuffled = rows[:]
             rng.shuffle(shuffled)
             assert _sparse_rank(shuffled) == rank, shuffled
+
+
+_ENTRIES = st.one_of(st.integers(-9, 9), st.integers(-(10**30), 10**30))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.lists(st.dictionaries(st.integers(0, 7), _ENTRIES, max_size=6), max_size=9))
+def test_sparse_rank_matches_dense_fraction_elimination_on_drawn_rows(rows):
+    assert _sparse_rank(rows) == _dense_rank(rows)
+
+
+@pytest.mark.parametrize("n, dimension", [(1, 1), (2, 1), (3, 2), (4, 6), (5, 22)])
+def test_sparse_rank_matches_dense_fraction_elimination_on_prim_tot_rows(n, dimension):
+    basis = sorted(generate_words("T", n), key=lambda f: f.text)
+    rows = [
+        {
+            (v, a.text, b.text): c
+            for v in ("precRed", "succRed")
+            for (a, b), c in coproduct(f, v).terms.items()
+        }
+        for f in basis
+    ]
+    rank = _dense_rank(rows)
+    assert _sparse_rank(rows) == rank
+    assert prim_tot_dimension(n) == len(basis) - rank == dimension
 
 
 def test_prim_tot_guard():

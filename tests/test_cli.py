@@ -417,6 +417,11 @@ def test_parameters_are_ascii_without_leading_zeros(run, argv):
     assert run(fixed)[0] == 0
 
 
+def test_labels_past_the_int_conversion_limit_exit_two(run):
+    for argv in (["coproduct", "1" * 4301], ["op", "concat", "1", "1[%s]" % ("2" * 4301)]):
+        assert run(argv) == (2, "", "error: label has 4301 digits, more than 4300\n")
+
+
 def test_coproduct_cut_budget(run):
     code, out, err = run(["coproduct", " ".join(str(i) for i in range(1, 31))])
     assert (code, out) == (2, "")

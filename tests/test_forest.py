@@ -11,6 +11,7 @@ from graftwood.families import generate_set
 from graftwood.forest import (
     _MAX_CUTS,
     _MAX_DEPTH,
+    _MAX_DIGITS,
     _count_cuts,
     BothUnitsError,
     EMPTY_FOREST,
@@ -140,6 +141,31 @@ def test_parse_nesting_cap():
     assert two.degree == _MAX_DEPTH + 1
     with pytest.raises(ForestSyntaxError):
         parse_plane_tree("0[" * _MAX_DEPTH + "0" + "]" * _MAX_DEPTH)
+
+
+def test_parse_rejects_labels_past_the_int_conversion_limit():
+    # int() refuses more digits than this with a plain ValueError
+    message = "label has %d digits, more than %d" % (_MAX_DIGITS + 1, _MAX_DIGITS)
+    for parse in (parse_forest, parse_plane_tree):
+        for text in ("1" * (_MAX_DIGITS + 1), "1[%s]" % ("2" * (_MAX_DIGITS + 1))):
+            with pytest.raises(ForestSyntaxError) as err:
+                parse(text)
+            assert str(err.value) == message
+    # a label at the limit still converts; the shape reader ignores its value
+    assert parse_plane_tree("9" * _MAX_DIGITS) == PlaneTree()
+
+
+def test_labels_walk_in_preorder_with_an_explicit_stack():
+    f = parse_forest("3[1 5[2]] 4")
+    assert list(f.labels()) == [3, 1, 5, 2, 4]
+    assert list(f.trees[0].labels()) == [3, 1, 5, 2]
+    assert list(EMPTY_FOREST.labels()) == []
+    # a generator nested per level would exceed the recursion limit here
+    deep = OrderedTree(1)
+    for label in range(2, 5001):
+        deep = OrderedTree(label, (deep,))
+    assert list(deep.labels()) == list(range(5000, 0, -1))
+    assert list(OrderedForest((deep, OrderedTree(5001))).labels())[-2:] == [1, 5001]
 
 
 def test_degree_and_flags():
