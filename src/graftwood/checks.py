@@ -34,7 +34,7 @@ from .families import (
     signature_of,
 )
 from .forest import EMPTY_FOREST, OrderedForest, shape_of
-from .grafts import check_identity, generate_closure
+from .grafts import _IDENTITIES, check_identity, generate_closure
 from .series import _ceiling, series_coefficients, verify_against_enumeration
 
 __all__ = ["SUITES", "DEGREE_ENV_VAR", "resolve_degree", "run_suite"]
@@ -99,23 +99,22 @@ def _universe(arity: int, max_total: int) -> list[tuple[OrderedForest, ...]]:
     ]
 
 
-def _sweep(*groups):
-    """A suite of identity rows: each group pairs an arity with the names of
-    the identities checked on every tuple of that arity."""
+def _sweep(*names):
+    """A suite of identity rows, one per name, each identity checked on every
+    tuple of its arity (read from the identity table)."""
 
     def run(n: int) -> list[dict]:
         rows = []
-        for arity, names in groups:
-            cases = _universe(arity, n)
-            for name in names:
-                failures = [
-                    "(%s)" % ", ".join(f.text for f in args)
-                    for args in cases
-                    if not check_identity(name, list(args))
-                ]
-                passed = "%d cases" % len(cases)
-                failed = "%d of %d cases fail, e.g. %s"
-                rows.append(_row(name, failures, passed, failed, len(cases)))
+        for name in names:
+            cases = _universe(_IDENTITIES[name][0], n)
+            failures = [
+                "(%s)" % ", ".join(f.text for f in args)
+                for args in cases
+                if not check_identity(name, list(args))
+            ]
+            passed = "%d cases" % len(cases)
+            failed = "%d of %d cases fail, e.g. %s"
+            rows.append(_row(name, failures, passed, failed, len(cases)))
         return rows
 
     return run
@@ -338,18 +337,17 @@ def _suite_closure(n: int) -> list[dict]:
 # is also its cap, the highest degree its rows check (the sweeps have none).
 _SUITES = {
     "hopf": (6, _suite_hopf, True),
-    "duplicial": (6, _sweep((3, ("E1a", "E1b", "E1c"))), False),
+    "duplicial": (6, _sweep("E1a", "E1b", "E1c"), False),
     "dendriform": (
         5,
         _sweep(
-            (1, ("E2a", "E2b", "E2c")),
-            (2, ("E3prec", "E3succ", "E4prec", "E4succ", "DELTASUCC", "DELTAPREC")),
+            "E2a", "E2b", "E2c", "E3prec", "E3succ", "E4prec", "E4succ", "DELTASUCC", "DELTAPREC"
         ),
         False,
     ),
-    "leftgraft": (6, _sweep((3, ("LGa", "LGb"))), False),
-    "rightgraft": (6, _sweep((3, ("RGa", "RGb"))), False),
-    "bigraft": (6, _sweep((3, ("BIGRAFT",))), False),
+    "leftgraft": (6, _sweep("LGa", "LGb"), False),
+    "rightgraft": (6, _sweep("RGa", "RGb"), False),
+    "bigraft": (6, _sweep("BIGRAFT"), False),
     "counts": (ENUMERATION_MAX_DEGREE, _suite_counts, True),
     "primtot": (_ceiling("D_dims"), _suite_primtot, True),
     "closure": (6, _suite_closure, True),

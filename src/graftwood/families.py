@@ -3,11 +3,13 @@
 A forest of degree n is reached from the single vertex by a sequence of
 moves, one per added vertex.  At step k the move is either
 
-* "-": wrap the whole forest under a new root labelled k, or
+* "-": wrap the whole forest under a new root labelled k (``b_minus``), or
 * "+": append the new vertex k as a bare tree, or hang it as the new
   rightmost child of the root of some tree while the trees to its right
-  become the new vertex's children.
+  become the new vertex's children (``_hang``; ``b_plus`` hangs at the
+  first tree).
 
+``_moves`` undoes them: it lists each vertex that may have been added last.
 Reading the moves as letters gives the signature of the forest.  The first
 letter is conventionally "+" (both moves agree on a single vertex).  Several
 families are carved out of this picture:
@@ -79,9 +81,14 @@ def b_plus(forest: OrderedForest) -> OrderedTree:
     root; the remaining trees become the new vertex's children."""
     if forest.is_empty:
         return OrderedTree(1)
-    first = forest.trees[0]
-    new = OrderedTree(forest.degree + 1, forest.trees[1:])
-    return OrderedTree(first.label, first.children + (new,))
+    return _hang(forest.trees, 0, forest.degree + 1)[0]
+
+
+def _hang(trees: tuple, i: int, n: int) -> tuple:
+    """The "+" hang: vertex n becomes the last child of the root of tree i,
+    and the trees after i become n's children."""
+    t = trees[i]
+    return trees[:i] + (OrderedTree(t.label, t.children + (OrderedTree(n, trees[i + 1 :]),)),)
 
 
 # --- signatures -------------------------------------------------------------
@@ -126,19 +133,8 @@ def _signature_set(signature: str) -> frozenset[OrderedForest]:
             out.add(OrderedForest((b_minus(f),)))
         else:
             out.add(OrderedForest(f.trees + (OrderedTree(n),)))
-            for i, t in enumerate(f.trees):
-                new = OrderedTree(n, f.trees[i + 1 :])
-                grafted = OrderedTree(t.label, t.children + (new,))
-                out.add(OrderedForest(f.trees[:i] + (grafted,)))
+            out.update(OrderedForest(_hang(f.trees, i, n)) for i in range(len(f.trees)))
     return frozenset(out)
-
-
-def _signatures_with_free_tail(n: int, tail: int):
-    """Canonical signatures of length n whose first n - tail letters are '+'."""
-    tail = min(tail, n - 1)
-    head = "+" * (n - tail)
-    for combo in itertools.product("+-", repeat=tail):
-        yield head + "".join(combo)
 
 
 # --- family selectors -------------------------------------------------------
@@ -179,21 +175,15 @@ def generate_set(
         if len(sig) != n:
             raise ValueError("signature length %d does not match degree %d" % (len(sig), n))
         return _signature_set(sig)
-    if kind == "G":
-        tail = n - 1
-    elif kind == "Gi":
-        tail = i
-    else:
-        tail = None
-    if tail is not None:
-        out: set[OrderedForest] = set()
-        for sig in _signatures_with_free_tail(n, tail):
-            out |= _signature_set(sig)
-        return frozenset(out)
+    if kind in ("G", "Gi"):
+        # the signatures whose letters before the last ``tail`` are all "+"
+        tail = n - 1 if kind == "G" else min(i, n - 1)
+        tails = itertools.product("+-", repeat=tail)
+        return frozenset().union(*(_signature_set("+" * (n - tail) + "".join(t)) for t in tails))
     if kind == "Br":
         return frozenset(f for f in _closure_layer(_BR_OPS, n) if f.is_tree)
     if kind in _TREE_FAMILIES:
-        return frozenset(OrderedForest((t,)) for t in _tree_layer(kind, n))
+        return _tree_layer(kind, n)
     raise ValueError("selector %r cannot be enumerated by degree" % selector)
 
 
@@ -210,12 +200,13 @@ _TREE_FAMILIES = {
 
 
 @lru_cache(maxsize=None)
-def _tree_layer(kind: str, n: int) -> frozenset[OrderedTree]:
+def _tree_layer(kind: str, n: int) -> frozenset[OrderedForest]:
     if n == 1:
-        return frozenset({OrderedTree(1)})
+        return frozenset({SINGLE_VERTEX})
     top, below = _TREE_FAMILIES[kind]
     build = {"+": b_plus, "-": b_minus}
-    return frozenset(build[move](w) for move in top for w in generate_words(below, n - 1))
+    words = generate_words(below, n - 1)
+    return frozenset(OrderedForest((build[move](w),)) for move in top for w in words)
 
 
 # Br is the closure under concatenation and the right graft.
@@ -265,9 +256,10 @@ def _words_over(selector: str, n: int) -> frozenset[OrderedForest]:
 
 def _moves(trees: tuple) -> Iterator[tuple[str, tuple, tuple]]:
     """Each vertex the peel may remove next from a forest of degree >= 2, as
-    (letter, removed vertex, what is left): "-" unwraps a lone root, "+" drops
-    a bare last tree or unhangs the last child of the last root.  The trees
-    may be labelled (``OrderedTree``) or shapes (``PlaneTree``)."""
+    (letter, removed vertex, what is left): the inverse of the moves.  "-"
+    unwraps a lone root (``b_minus``), "+" drops a bare last tree or unhangs
+    the last child of the last root (``_hang``).  The trees may be labelled
+    (``OrderedTree``) or shapes (``PlaneTree``)."""
     last = trees[-1]
     kids = last.children
     if len(trees) == 1:
@@ -452,16 +444,12 @@ def ladders(n: int) -> dict[str, OrderedTree]:
     canonical signature of length n (plus block first, then minus letters)."""
     if n < 1:
         raise ValueError("degree must be positive")
-    plus: dict[int, OrderedTree] = {1: OrderedTree(1)}
-    if n >= 2:
-        plus[2] = OrderedTree(1, (OrderedTree(2),))
-    for i in range(3, n + 1):
-        grown = concat(SINGLE_VERTEX, OrderedForest((plus[i - 2],)))
-        plus[i] = b_plus(grown)
     out: dict[str, OrderedTree] = {}
+    chain = PlaneTree()
     for i in range(1, n + 1):
-        tree = plus[i]
+        tree = _canonical_allplus(chain)
         for _ in range(n - i):
             tree = b_minus(OrderedForest((tree,)))
         out["+" * i + "-" * (n - i)] = tree
+        chain = PlaneTree((chain,))
     return out

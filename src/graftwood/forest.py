@@ -239,14 +239,9 @@ def shape_of(forest: OrderedForest) -> tuple[PlaneTree, ...]:
 
 def _relabel(t: OrderedTree, remap) -> OrderedTree:
     """The same tree with every label replaced by remap(label)."""
+    if not t.children:
+        return OrderedTree(remap(t.label))
     return OrderedTree(remap(t.label), tuple(_relabel(c, remap) for c in t.children))
-
-
-def shift_forest(forest: OrderedForest, k: int) -> OrderedForest:
-    """Add k to every label."""
-    if k == 0:
-        return forest
-    return OrderedForest(tuple(_relabel(t, k.__add__) for t in forest.trees))
 
 
 def standardize(vertices: Sequence[OrderedTree] | OrderedForest) -> OrderedForest:
@@ -402,32 +397,26 @@ def nwarrow(left: OrderedForest, right: OrderedForest) -> OrderedForest:
         return right
     if right.is_empty:
         return left
-    leaf = rightmost_leaf_label(left)
-    gsize = right.degree
-    grafted = shift_forest(right, leaf - 1).trees
+    path = [left.trees[-1]]  # the vertices from the last root down to the leaf
+    while path[-1].children:
+        path.append(path[-1].children[-1])
+    leaf, gsize = path.pop().label, right.degree
 
     def remap(label: int) -> int:
         return label if label < leaf else label + gsize
 
-    def go(t: OrderedTree, on_path: bool) -> OrderedTree:
-        if not t.children:
-            kids = grafted if on_path else ()
-            return OrderedTree(remap(t.label), kids)
-        last = len(t.children) - 1
-        kids = tuple(
-            go(c, on_path and i == last) for i, c in enumerate(t.children)
-        )
-        return OrderedTree(remap(t.label), kids)
-
-    last = len(left.trees) - 1
-    return OrderedForest(
-        tuple(go(t, i == last) for i, t in enumerate(left.trees))
-    )
+    shift = (leaf - 1).__add__
+    node = OrderedTree(remap(leaf), tuple(_relabel(t, shift) for t in right.trees))
+    for t in reversed(path):
+        kids = tuple(_relabel(c, remap) for c in t.children[:-1])
+        node = OrderedTree(remap(t.label), kids + (node,))
+    return OrderedForest(tuple(_relabel(t, remap) for t in left.trees[:-1]) + (node,))
 
 
 def lgraft_basis(left: OrderedForest, right: OrderedForest) -> OrderedForest | None:
     """Left graft on basis forests: the left forest becomes the leftmost
-    children of the first tree of the right forest.
+    children of the first tree of the right forest.  The labels are those of
+    ``concat(left, right)``.
 
     Returns None for the vanishing case (nonempty ``left``, empty ``right``).
     Both arguments empty is undefined and raises.
@@ -438,10 +427,9 @@ def lgraft_basis(left: OrderedForest, right: OrderedForest) -> OrderedForest | N
         return right
     if right.is_empty:
         return None
-    shifted = shift_forest(right, left.degree)
-    first = shifted.trees[0]
-    merged = OrderedTree(first.label, left.trees + first.children)
-    return OrderedForest((merged,) + shifted.trees[1:])
+    trees, m = concat(left, right).trees, len(left.trees)
+    root = OrderedTree(trees[m].label, trees[:m] + trees[m].children)
+    return OrderedForest((root,) + trees[m + 1 :])
 
 
 def rgraft_basis(left: OrderedForest, right: OrderedForest) -> OrderedForest | None:

@@ -25,7 +25,7 @@ from graftwood.algebra import (
     prim_tot_dimension,
     product,
 )
-from graftwood.families import generate_set, generate_words
+from graftwood.families import generate_set, generate_words, is_basis_forest
 from graftwood.forest import (
     EMPTY_FOREST,
     OrderedForest,
@@ -394,18 +394,77 @@ def test_one_sided_coproducts_mixed_coassociativity():
         assert expand_left(dr, "full") == expand_right(dr, "rightRoot"), f.text
 
 
-def test_hopf_laws_on_every_labelled_forest():
-    """Coassociativity, the counit law and the antipode law on all 371 labelled
-    forests of degree <= 4, multi-tree blocks such as 2 1 and 2 3 1 included."""
+def _assert_hopf_laws(f):
+    """Coassociativity, the counit law and the antipode law on one forest."""
     zero, unit = AlgebraElement.zero(), AlgebraElement.of
+    d = coproduct(f)
+    assert expand_left(d) == expand_right(d), f.text
+    terms = d.terms.items()
+
+    def s(x):
+        return antipode(x, max_degree=f.degree)
+
+    assert sum((unit(b) * (counit(a) * c) for (a, b), c in terms), zero) == unit(f), f.text
+    assert sum((unit(a) * (counit(b) * c) for (a, b), c in terms), zero) == unit(f), f.text
+    assert sum((product(s(a), b) * c for (a, b), c in terms), zero) == zero, f.text
+    assert sum((product(a, s(b)) * c for (a, b), c in terms), zero) == zero, f.text
+
+
+def test_hopf_laws_on_every_labelled_forest():
+    """The three laws on all 371 labelled forests of degree <= 4, multi-tree
+    blocks such as 2 1 and 2 3 1 included."""
     for f in labelled_forests(4):
-        d = coproduct(f)
-        assert expand_left(d) == expand_right(d), f.text
-        terms = d.terms.items()
-        assert sum((unit(b) * (counit(a) * c) for (a, b), c in terms), zero) == unit(f), f.text
-        assert sum((unit(a) * (counit(b) * c) for (a, b), c in terms), zero) == unit(f), f.text
-        assert sum((product(antipode(a), b) * c for (a, b), c in terms), zero) == zero, f.text
-        assert sum((product(a, antipode(b)) * c for (a, b), c in terms), zero) == zero, f.text
+        _assert_hopf_laws(f)
+
+
+def _forest_at_depths(depths, labels):
+    """The forest whose vertices, in preorder, sit at the given depths (each at
+    most one below the one before, the first a root) with the given labels."""
+    text, prev = [], -1
+    for depth, label in zip(depths, labels):
+        if depth > prev >= 0:
+            text.append("[")
+        elif depth <= prev:
+            text.append("]" * (prev - depth) + " ")
+        text.append(str(label))
+        prev = depth
+    return P("".join(text) + "]" * prev)
+
+
+def test_cut_sum_and_hopf_laws_on_sampled_non_words_of_degree_5_and_6():
+    rng, sample = random.Random(56), set()
+    for n in (5, 6):
+        drawn = set()
+        while len(drawn) < 30:
+            depths = [0]
+            for _ in range(n - 1):
+                depths.append(rng.randint(0, depths[-1] + 1))
+            f = _forest_at_depths(depths, rng.sample(range(1, n + 1), n))
+            if not is_basis_forest(f):
+                drawn.add(f)
+        sample |= drawn
+    for f in sorted(sample, key=lambda f: f.text):
+        assert {v: coproduct(f, v) for v in COPRODUCT_VARIANTS} == _reference_coproducts(f), f.text
+        _assert_hopf_laws(f)
+
+
+@st.composite
+def labelled_forests_of_degree(draw, lo, hi):
+    """A random plane forest, drawn as the depths of its vertices in preorder,
+    with a random labelling: words or not."""
+    n = draw(st.integers(lo, hi))
+    depths = [0]
+    for _ in range(n - 1):
+        depths.append(draw(st.integers(0, depths[-1] + 1)))
+    return _forest_at_depths(depths, draw(st.permutations(range(1, n + 1))))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=6)
+@given(labelled_forests_of_degree(8, 10))
+def test_cut_sum_and_coassociativity_on_drawn_labelled_forests(f):
+    assert {v: coproduct(f, v) for v in COPRODUCT_VARIANTS} == _reference_coproducts(f)
+    d = coproduct(f)
+    assert expand_left(d) == expand_right(d)
 
 
 def test_counit_axiom():

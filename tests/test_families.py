@@ -1,11 +1,14 @@
 """Signature families, membership peels, counting rules, canonical labels."""
 
+import itertools
 from collections import Counter
 
 import pytest
 
 from graftwood.families import (
     NotInFamilyError,
+    _hang,
+    _moves,
     b_minus,
     b_plus,
     canonical_indexing,
@@ -22,6 +25,7 @@ from graftwood.families import (
 from graftwood.forest import (
     EMPTY_FOREST,
     OrderedForest,
+    OrderedTree,
     PlaneTree,
     concat,
     parse_forest,
@@ -173,6 +177,33 @@ def test_signature_round_trip():
         for f in generate_set("G", n):
             sig = signature_of(f)
             assert f in generate_set("G", n, sig)
+
+
+def _grown(f):
+    """Each forest one move above f, as (letter, trees): the bare append and
+    ``_hang`` at every tree for "+", ``b_minus`` for "-"."""
+    n, trees = f.degree + 1, f.trees
+    yield "+", trees + (OrderedTree(n),)
+    for i in range(len(trees)):
+        yield "+", _hang(trees, i, n)
+    yield "-", (b_minus(f),)
+
+
+def test_the_peel_moves_undo_the_append_moves():
+    # every move applied to a G forest of degree <= 6 is undone by exactly one
+    # peel move, the one that removes the new vertex; together the moves grow
+    # each signature set into the sets one letter longer
+    for k in range(1, 7):
+        for tail in itertools.product("+-", repeat=k - 1):
+            sig = "+" + "".join(tail)
+            grown = {"+": set(), "-": set()}
+            for f in generate_set("G", k, sig):
+                for letter, trees in _grown(f):
+                    undo = [(m[0], m[2]) for m in _moves(trees) if m[1].label == k + 1]
+                    assert undo == [(letter, f.trees)], (f.text, letter, trees)
+                    grown[letter].add(OrderedForest(trees))
+            for letter, forests in grown.items():
+                assert forests == generate_set("G", k + 1, sig + letter), sig + letter
 
 
 GF_COUNTS = [1, 3, 10, 35, 126, 462]

@@ -1,5 +1,6 @@
 """Core forest surgery: grammar round-trips, cuts, and the three grafts."""
 
+import functools
 import itertools
 import pickle
 
@@ -566,3 +567,117 @@ def test_grafts_collide_on_nested_chain():
     assert inner_r.text == "1[2]" and inner_l.text == "2[1]"
     assert rgraft_basis(dot, inner_r).text == "1[3[2]]"
     assert rgraft_basis(dot, inner_l).text == "1[3[2]]"
+
+
+# --- the basis operations against a rank-relabel reference -----------------
+
+
+def _plane_forests(n):
+    """Every plane forest of n vertices, as a tuple of shapes."""
+    if n == 0:
+        return [()]
+    return [
+        (PlaneTree(kids),) + rest
+        for k in range(1, n + 1)
+        for kids in _plane_forests(k - 1)
+        for rest in _plane_forests(n - k)
+    ]
+
+
+def _labelled_forests(n):
+    """Every labelled plane forest of degree n, words or not: each plane
+    forest with every order of 1..n on its vertices in preorder."""
+
+    def label(shape, labels):
+        return OrderedTree(next(labels), tuple(label(c, labels) for c in shape.children))
+
+    return [
+        OrderedForest(tuple(label(s, labels) for s in shapes))
+        for shapes in _plane_forests(n)
+        for labels in map(iter, itertools.permutations(range(1, n + 1)))
+    ]
+
+
+@functools.lru_cache(maxsize=None)
+def _keyed(trees, prefix, suffix=()):
+    """The trees as nested (key, children) pairs, the key of label a being
+    prefix + (a,) + suffix, and the keys in preorder."""
+    keys = []
+
+    def go(t):
+        keys.append(prefix + (t.label,) + suffix)
+        return keys[-1], tuple(map(go, t.children))
+
+    return tuple(map(go, trees)), keys
+
+
+def _ranked(keys, *keyed):
+    """Each forest of keyed trees as plain (label, children) tuples, each key
+    replaced by its rank 1..n among the keys."""
+    rank = dict(zip(sorted(keys), itertools.count(1)))
+
+    def go(node):
+        return rank[node[0]], tuple(map(go, node[1])) if node[1] else ()
+
+    return [tuple(map(go, trees)) for trees in keyed]
+
+
+def _reference_ops(left, right):
+    """The trees of the four basis operations built as their docstrings state
+    them: each vertex gets a sort key, and the keys are ranked to 1..n.  None
+    where a graft vanishes."""
+    if not (left.trees and right.trees):  # a unit, on the side a graft needs or not
+        other = left.trees or right.trees
+        return {"concat": other, "nwarrow": other,
+                "lgraft": right.trees or None, "rgraft": left.trees or None}
+    (lk, lkeys), (rk, rkeys) = _keyed(left.trees, (0,)), _keyed(right.trees, (1,))
+    # lgraft: the left trees lead the children of the first right root
+    lgrafted = ((rk[0][0], lk + rk[0][1]),) + rk[1:]
+    concat_trees, lgraft_trees = _ranked(lkeys + rkeys, lk + rk, lgrafted)
+    # rgraft: per right tree its other vertices in order, then its root (the
+    # first key in preorder)
+    hung, keys = (), list(lkeys)
+    for j, t in enumerate(right.trees):
+        ((_, kids),), tree_keys = _keyed((t,), (1, j, 0))
+        hung += (((1, j, 1), kids),)
+        keys += [(1, j, 1)] + tree_keys[1:]
+    (rgraft_trees,) = _ranked(keys, lk[:-1] + ((lk[-1][0], lk[-1][1] + hung),))
+    # nwarrow: the right trees hang below the rightmost leaf and rank just below it
+    leaf = left.trees[-1]
+    while leaf.children:
+        leaf = leaf.children[-1]
+    hung, hung_keys = _keyed(right.trees, (leaf.label, 0))
+
+    def hang(v):
+        return (v[0], hung) if not v[1] else (v[0], v[1][:-1] + (hang(v[1][-1]),))
+
+    host, host_keys = _keyed(left.trees, (), (1,))
+    (nwarrow_trees,) = _ranked(host_keys + hung_keys, host[:-1] + (hang(host[-1]),))
+    return {"concat": concat_trees, "nwarrow": nwarrow_trees,
+            "lgraft": lgraft_trees, "rgraft": rgraft_trees}
+
+
+def test_basis_operations_match_the_rank_relabel_reference():
+    # every ordered pair of nonempty labelled forests of total degree <= 6, the
+    # empty forest on either side of every forest of degree <= 4, and two
+    # chains at the depth cap, one labelled down and one up
+    by_degree = [None] + [_labelled_forests(n) for n in range(1, 6)]
+    assert [len(fs) for fs in by_degree[1:]] == [1, 4, 30, 336, 5040]
+    pairs = [
+        (a, b)
+        for k in range(1, 6)
+        for a in by_degree[k]
+        for j in range(1, 7 - k)
+        for b in by_degree[j]
+    ]
+    small = [f for fs in by_degree[1:5] for f in fs]
+    pairs += [(EMPTY_FOREST, f) for f in small] + [(f, EMPTY_FOREST) for f in small]
+    down = "".join("%d[" % i for i in range(_MAX_DEPTH, 1, -1)) + "1" + "]" * (_MAX_DEPTH - 1)
+    chains = [parse_forest(_chain(_MAX_DEPTH)), parse_forest(down)]
+    pairs += [(a, b) for a in chains for b in chains]
+    ops = {"concat": concat, "nwarrow": nwarrow, "lgraft": lgraft_basis, "rgraft": rgraft_basis}
+    for a, b in pairs:
+        want = _reference_ops(a, b)
+        for name, op in ops.items():
+            got = op(a, b)
+            assert (got and got.trees) == want[name], (name, a.text, b.text)
