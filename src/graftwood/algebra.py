@@ -368,14 +368,29 @@ def prim_tot_dimension(n: int, max_degree: int = DEFAULT_ANTIPODE_DEGREE) -> int
 def _sparse_rank(rows: list[dict]) -> int:
     """Integer rows, exact rank over Q, fraction-free, sparsest first.
 
-    Shortest rows first, each reduced at its least column by
+    A row that is the only one left nonzero in some column is independent of
+    the others: it is peeled off and counted, until no such row is left.
+    Then the shortest rows go first, each reduced at its least column by
     ``row <- (a/g)*row - (b/g)*pivot`` (``a`` the pivot's lead, ``b`` the
     row's entry, ``g = gcd(a, b)``).  A row left nonzero is stored as the
     pivot of that column, divided by the gcd of its entries, lead positive.
     """
+    rows = [{k: v for k, v in row.items() if v} for row in rows]
+    holders: dict = {}  # column -> the indices of the unpeeled rows nonzero in it
+    for i, row in enumerate(rows):
+        for k in row:
+            holders.setdefault(k, set()).add(i)
+    peeled, lone = set(), list(holders)  # lone: the columns to look at again
+    while lone:
+        if len(held := holders[lone.pop()]) == 1:
+            (i,) = held
+            peeled.add(i)
+            for k in rows[i]:
+                holders[k].discard(i)
+                if len(holders[k]) == 1:
+                    lone.append(k)
     pivots: dict = {}
-    for row in sorted(rows, key=len):
-        row = {k: v for k, v in row.items() if v}
+    for row in sorted((r for i, r in enumerate(rows) if i not in peeled), key=len):
         while row:
             col = min(row)
             pivot = pivots.get(col)
@@ -393,7 +408,7 @@ def _sparse_rank(rows: list[dict]) -> int:
                     row[k] = new
                 else:
                     row.pop(k, None)
-    return len(pivots)
+    return len(peeled) + len(pivots)
 
 
 def check_b_operator_coproduct(forest: OrderedForest) -> bool:

@@ -441,15 +441,16 @@ def _canonical_allplus(shape: PlaneTree) -> OrderedTree:
 
 def ladders(n: int) -> dict[str, OrderedTree]:
     """The n chain-shaped members of the signature families, one per
-    canonical signature of length n (plus block first, then minus letters)."""
+    canonical signature of length n (plus block first, then minus letters).
+    From the root down, +^i -^(n-i) reads n, ..., i+1, one root per minus,
+    then the all-plus chain 1, i, 2, i-1, ... (``_canonical_allplus``)."""
     if n < 1:
         raise ValueError("degree must be positive")
     out: dict[str, OrderedTree] = {}
-    chain = PlaneTree()
     for i in range(1, n + 1):
-        tree = _canonical_allplus(chain)
-        for _ in range(n - i):
-            tree = b_minus(OrderedForest((tree,)))
+        labels = [*range(n, i, -1), *(i - k // 2 if k % 2 else k // 2 + 1 for k in range(i))]
+        tree = OrderedTree(labels.pop())
+        for label in reversed(labels):
+            tree = OrderedTree(label, (tree,))
         out["+" * i + "-" * (n - i)] = tree
-        chain = PlaneTree((chain,))
     return out

@@ -6,9 +6,10 @@ label, an inner vertex as ``label[child child ...]``, sibling trees are
 separated by single spaces, and the empty forest prints as ``()``.
 
 Trees and shapes are immutable named tuples, ``(label, children)`` and
-``(children,)``, that hash and compare as plain tuples; a forest is an
-immutable slotted object over its trees that takes its hash once, when it is
-built, and its degree and its text once, when first asked.  ``standardize``
+``(children,)``, that hash and compare as plain tuples.  Forests are interned
+(hash-consed) immutable slotted objects over their trees: equal forests are
+one object, so they compare and hash by identity, and each takes its degree
+and its text once, when first asked.  ``standardize``
 is memoised on the trees and ``concat`` on the two forests; both return
 shared forests, so each distinct cut leg is relabelled, measured and printed
 once.  Cuts are not memoised: the coproduct keeps its own results.
@@ -22,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import weakref
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
@@ -54,32 +56,33 @@ class OrderedTree(NamedTuple):
         return "%d[%s]" % (self.label, " ".join(str(c) for c in self.children))
 
 
+# The live forests by their trees, held weakly: a strong table would only grow,
+# and clearing it would split equal forests into separate objects.
+_INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 class OrderedForest:
     """A sequence of ordered trees; the labels are expected to be 1..degree.
 
-    Immutable and without an instance ``__dict__``.  The hash is taken once,
-    at construction, and equals ``hash((trees,))``, so sets of forests
-    iterate as they would for that tuple.
+    Immutable, without an instance ``__dict__``, and interned: trees equal to
+    those of a live forest give that forest, so ``==`` and ``hash`` are
+    ``object``'s own, by identity.
     """
 
-    __slots__ = ("trees", "_hash", "_degree", "_text")
+    __slots__ = ("trees", "_degree", "_text", "__weakref__")
 
-    def __init__(self, trees: tuple[OrderedTree, ...] = ()):
-        object.__setattr__(self, "trees", trees)
-        object.__setattr__(self, "_hash", hash((trees,)))
+    def __new__(cls, trees: tuple[OrderedTree, ...] = ()):
+        forest = _INTERNED.get(trees)
+        if forest is None:
+            forest = object.__new__(cls)
+            object.__setattr__(forest, "trees", trees)
+            _INTERNED[trees] = forest
+        return forest
 
     def __setattr__(self, name: str, value=None) -> None:
         raise AttributeError("cannot assign to field %r" % name)
 
     __delattr__ = __setattr__
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or (self._hash == other._hash and self.trees == other.trees)
 
     def __reduce__(self):
         return OrderedForest, (self.trees,)

@@ -600,6 +600,15 @@ def test_sparse_rank_is_exact_on_int_rows():
     assert _sparse_rank([{0: 49, 1: 1}, {0: 7, 1: 3}]) == 2
 
 
+def test_sparse_rank_peels_rows_alone_in_a_column():
+    # column 0 holds only the first row; once it is peeled, column 1 holds
+    # only the second, and the last two rows, one twice the other, are left
+    rows = [{0: 1, 1: 2}, {1: 1, 2: 1}, {2: 1, 3: 1}, {2: 2, 3: 2}]
+    assert _sparse_rank(rows) == _dense_rank(rows) == 3
+    assert _sparse_rank(rows[::-1]) == 3
+    assert _sparse_rank(rows[:2] + [{2: 1, 3: 1}, {2: 1, 3: 2}]) == 4
+
+
 def test_prim_tot_dimension_degree_6():
     assert prim_tot_dimension(6, max_degree=6) == 90
 

@@ -450,19 +450,44 @@ def test_execute_is_deterministic(run):
     assert first[0] == 0
 
 
-def test_python_dash_m_runs_the_cli():
+def _python(args, **env):
+    """Run a fresh interpreter on the package under test, with extra
+    environment variables."""
     src = str(Path(graftwood.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run(
-        [sys.executable, "-m", "graftwood", "enumerate", "--set", "G", "--degree", "2"],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=60,
-    )
+    env = dict(os.environ, PYTHONPATH=path, **env)
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env, timeout=120)
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = _python(["-m", "graftwood", "enumerate", "--set", "G", "--degree", "2"])
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "1 2\n1[2]\n2[1]\n"
+    assert proc.stdout == b"1 2\n1[2]\n2[1]\n"
+
+
+# Runs the CLI after throwaway allocations, so every object the run makes
+# sits at another address than in a plain run.
+_SHIFTED = (
+    "import sys; junk = [[n] * (n % 7) for n in range(50000)]; "
+    "from graftwood.cli import main; main(sys.argv[1:])"
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--json", "check", "--suite", "hopf"],
+        ["check", "--suite", "dendriform"],
+        ["coproduct", "--variant", "reduced", "2[4[1] 3]"],
+        ["enumerate", "--set", "G", "--degree", "4"],
+    ],
+)
+def test_output_depends_on_neither_addresses_nor_the_hash_seed(argv):
+    # forests hash by identity, so sets of them iterate in address order
+    plain = _python(["-m", "graftwood", *argv], PYTHONHASHSEED="0")
+    shifted = _python(["-c", _SHIFTED, *argv], PYTHONHASHSEED="4242")
+    assert plain.stdout and plain.returncode in (0, 1), plain.stderr
+    assert (shifted.returncode, shifted.stdout) == (plain.returncode, plain.stdout)
 
 
 def test_main_raises_system_exit():

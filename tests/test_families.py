@@ -1,6 +1,7 @@
 """Signature families, membership peels, counting rules, canonical labels."""
 
 import itertools
+import time
 from collections import Counter
 
 import pytest
@@ -521,6 +522,28 @@ def test_ladders_are_the_chain_members():
             if f.is_tree and all(len(c.children) <= 1 for c in _vertices(f.trees[0]))
         ]
         assert len(chains) == n
+
+
+def test_ladders_match_the_wrapped_all_plus_chains():
+    # the construction by the moves: the all-plus chain on 1..i, wrapped n - i times
+    for n in range(1, 31):
+        chain, expected = PlaneTree(), {}
+        for i in range(1, n + 1):
+            tree = canonical_indexing(chain, "G0")
+            for _ in range(n - i):
+                tree = b_minus(OrderedForest((tree,)))
+            expected["+" * i + "-" * (n - i)] = tree
+            chain = PlaneTree((chain,))
+        assert list(ladders(n).items()) == list(expected.items()), n
+
+
+def test_ladders_are_linear_in_their_output():
+    start = time.perf_counter()
+    lads = ladders(600)
+    elapsed = time.perf_counter() - start
+    assert len(lads) == 600 and elapsed <= 2.0, elapsed
+    top = lads["+" * 600]
+    assert (top.label, top.children[0].label) == (1, 600)
 
 
 def _vertices(tree):

@@ -1,8 +1,11 @@
 """Core forest surgery: grammar round-trips, cuts, and the three grafts."""
 
+import copy
 import functools
+import gc
 import itertools
 import pickle
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 
 from graftwood.families import generate_set
 from graftwood.forest import (
+    _INTERNED,
     _MAX_CUTS,
     _MAX_DEPTH,
     _MAX_DIGITS,
@@ -193,20 +197,41 @@ def test_tree_types_are_immutable_tuples():
         with pytest.raises(AttributeError):
             setattr(obj, field, ())
     for obj in (tree, shape, parse_forest("2[4[1] 3] 5")):
-        copy = pickle.loads(pickle.dumps(obj))
-        assert copy == obj and type(copy) is type(obj) and str(copy) == str(obj)
+        clone = pickle.loads(pickle.dumps(obj))
+        assert clone == obj and type(clone) is type(obj) and str(clone) == str(obj)
     forest = parse_forest("2[4[1] 3] 5")
-    assert hash(forest) == hash((forest.trees,))
     assert not hasattr(forest, "__dict__")
     with pytest.raises(AttributeError):
         setattr(forest, "trees", ())
-    copy = pickle.loads(pickle.dumps(forest))
-    assert copy == forest and hash(copy) == hash(forest)
     assert repr(forest) == (
         "OrderedForest(trees=(OrderedTree(label=2, children=(OrderedTree(label=4, "
         "children=(OrderedTree(label=1, children=()),)), OrderedTree(label=3, children=()))), "
         "OrderedTree(label=5, children=())))"
     )
+
+
+def test_forests_are_interned():
+    forest = parse_forest("2[4[1] 3] 5")
+    assert OrderedForest(forest.trees) is forest
+    assert parse_forest("2[4[1] 3] 5") is parse_forest("2[4[1] 3] 5") is forest
+    # equal trees that are other objects still give the live forest
+    assert OrderedForest(pickle.loads(pickle.dumps(forest.trees))) is forest
+    for clone in (pickle.loads(pickle.dumps(forest)), copy.copy(forest), copy.deepcopy(forest)):
+        assert clone is forest
+    assert hash(forest) == object.__hash__(forest)
+
+
+def test_the_intern_table_drops_a_forest_nothing_holds():
+    # labels no memo sees, so only this test holds the forest
+    trees = (OrderedTree(9001, (OrderedTree(9002),)),)
+    gc.collect()  # so that no other forest is freed while this test counts
+    size = len(_INTERNED)
+    forest = OrderedForest(trees)
+    alive = weakref.ref(forest)
+    assert _INTERNED[trees] is forest and len(_INTERNED) == size + 1
+    del forest
+    assert alive() is None
+    assert trees not in _INTERNED and len(_INTERNED) == size
 
 
 def test_standardize_subforest():
