@@ -12,6 +12,7 @@ from __future__ import annotations
 import os
 
 from .algebra import (
+    DEFAULT_ANTIPODE_DEGREE,
     AlgebraElement,
     _linear,
     antipode,
@@ -158,7 +159,7 @@ def _antipode_law(f: OrderedForest) -> bool:
 
 def _suite_hopf(n: int) -> list[dict]:
     rows = []
-    small = min(n, 5)
+    small = min(n, DEFAULT_ANTIPODE_DEGREE)  # the antipode law runs at its default guard
     words = _words("T", small)
     moves = _words("T", min(n, 4))
     for label, forests, law, passed in (

@@ -6,7 +6,7 @@ moves, one per added vertex.  At step k the move is either
 * "-": wrap the whole forest under a new root labelled k (``b_minus``), or
 * "+": append the new vertex k as a bare tree, or hang it as the new
   rightmost child of the root of some tree while the trees to its right
-  become the new vertex's children (``_hang``; ``b_plus`` hangs at the
+  become the new vertex's children (``forest._hang``; ``b_plus`` hangs at the
   first tree).
 
 ``_moves`` undoes them: it lists each vertex that may have been added last.
@@ -41,6 +41,7 @@ from .forest import (
     OrderedTree,
     PlaneTree,
     SINGLE_VERTEX,
+    _hang,
     concat,
     shape_of,
 )
@@ -82,13 +83,6 @@ def b_plus(forest: OrderedForest) -> OrderedTree:
     if forest.is_empty:
         return OrderedTree(1)
     return _hang(forest.trees, 0, forest.degree + 1)[0]
-
-
-def _hang(trees: tuple, i: int, n: int) -> tuple:
-    """The "+" hang: vertex n becomes the last child of the root of tree i,
-    and the trees after i become n's children."""
-    t = trees[i]
-    return trees[:i] + (OrderedTree(t.label, t.children + (OrderedTree(n, trees[i + 1 :]),)),)
 
 
 # --- signatures -------------------------------------------------------------
@@ -336,7 +330,7 @@ def _count(kind: str, i: int | None, trees: tuple, n: int, labelled: bool) -> in
 
 def is_basis_forest(forest: OrderedForest) -> bool:
     """True when the forest is a word over T trees (the empty word counts)."""
-    return bool(_word_count(forest.trees, 0, "+-", "+-", True))
+    return membership("B", forest)
 
 
 def membership(selector: str, forest: OrderedForest) -> bool:

@@ -305,11 +305,6 @@ def rightmost_path(forest: OrderedForest) -> tuple[int, ...]:
     return tuple(path)
 
 
-def rightmost_leaf_label(forest: OrderedForest) -> int:
-    """Label of the leaf reached by always taking the last child of the last tree."""
-    return rightmost_path(forest)[-1]
-
-
 AdmissibleCut = frozenset[int]
 
 # Most admissible cuts a forest may have before enumerating them is refused.
@@ -435,32 +430,30 @@ def lgraft_basis(left: OrderedForest, right: OrderedForest) -> OrderedForest | N
     return OrderedForest((root,) + trees[m + 1 :])
 
 
+def _hang(trees: tuple, i: int, n: int) -> tuple:
+    """The "+" hang: vertex n becomes the last child of the root of tree i,
+    and the trees after i become n's children."""
+    t = trees[i]
+    return trees[:i] + (OrderedTree(t.label, t.children + (OrderedTree(n, trees[i + 1 :]),)),)
+
+
 def rgraft_basis(left: OrderedForest, right: OrderedForest) -> OrderedForest | None:
     """Right graft on basis forests: each tree of the right forest is hung,
     in order, as a new rightmost child of the root of the left forest's last
-    tree.  Per grafted tree the root takes the largest fresh label and the
-    other vertices keep their relative order.
+    tree.  That is the "+" move (``_hang``) at the last tree over the grafted
+    tree's standardized children, with its root as the largest fresh label.
 
     Returns None for the vanishing case (empty ``left``, nonempty ``right``).
     Both arguments empty is undefined and raises.
     """
     if left.is_empty and right.is_empty:
         raise BothUnitsError("right graft of two empty forests is undefined")
-    if right.is_empty:
-        return left
     if left.is_empty:
         return None
-    host = left.trees[-1]
-    offset = left.degree
-    new_children = list(host.children)
     for t in right.trees:
-        below = sorted(label for label in t.labels() if label != t.label)
-        remap = {old: offset + new for new, old in enumerate(below, start=1)}
-        offset += len(below) + 1
-        remap[t.label] = offset
-        new_children.append(_relabel(t, remap.__getitem__))
-    merged = OrderedTree(host.label, tuple(new_children))
-    return OrderedForest(left.trees[:-1] + (merged,))
+        below = concat(left, standardize(t.children))
+        left = OrderedForest(_hang(below.trees, len(left.trees) - 1, left.degree + t.degree))
+    return left
 
 
 # The binary basis operations by name; a vanishing graft returns None.

@@ -12,8 +12,8 @@ from __future__ import annotations
 import re
 from typing import Callable, NamedTuple, Sequence
 
-from .algebra import prim_tot_dimension
-from .families import generate_set, generate_words
+from .algebra import DEFAULT_ANTIPODE_DEGREE, prim_tot_dimension
+from .families import ENUMERATION_MAX_DEGREE, generate_set, generate_words
 
 __all__ = [
     "MAX_SERIES_DEGREE",
@@ -132,34 +132,45 @@ class _Series(NamedTuple):
     ceiling: int  # highest degree the enumeration is available for
 
 
-# Each table by name, in the order of SERIES_IDS.  The ceilings stop where
-# the generated sets are unguaranteed (family guards) or not independently
-# available.
+# Each table by name, in the order of SERIES_IDS.  Each ceiling is the guard of
+# what it counts (for D_dims the antipode's default, which prim_tot_dimension
+# runs under), except the 7 of B_trees and B_forests: a time budget.
 _SERIES = {
     "Binfty_forests": _Series(
-        "", lambda _, n: _length_triangle(n)[1], lambda _, n: len(generate_set("G", n)), 8
+        "",
+        lambda _, n: _length_triangle(n)[1],
+        lambda _, n: len(generate_set("G", n)),
+        ENUMERATION_MAX_DEGREE,
     ),
     "Binfty_trees": _Series(
-        "", lambda _, n: _binfty_trees(n), lambda _, n: _tree_count("G", n), 8
+        "", lambda _, n: _binfty_trees(n), lambda _, n: _tree_count("G", n), ENUMERATION_MAX_DEGREE
     ),
     "Binfty_length": _Series(
         "(k)",
         _length_column,
         lambda k, n: sum(1 for f in generate_set("G", n) if len(f.trees) == k),
-        8,
+        ENUMERATION_MAX_DEGREE,
     ),
     "B0_trees": _Series(
-        "", lambda _, n: [0] + _catalan(n)[:n], lambda _, n: _tree_count("G0", n), 8
+        "",
+        lambda _, n: [0] + _catalan(n)[:n],
+        lambda _, n: _tree_count("G0", n),
+        ENUMERATION_MAX_DEGREE,
     ),
     "B0_forests": _Series(
-        "", lambda _, n: _catalan(n), lambda _, n: len(generate_set("G0", n)), 8
+        "",
+        lambda _, n: _catalan(n),
+        lambda _, n: len(generate_set("G0", n)),
+        ENUMERATION_MAX_DEGREE,
     ),
-    "Bi_trees": _Series("(i)", _layered_trees, lambda i, n: _tree_count("G%d" % i, n), 8),
+    "Bi_trees": _Series(
+        "(i)", _layered_trees, lambda i, n: _tree_count("G%d" % i, n), ENUMERATION_MAX_DEGREE
+    ),
     "Bi_forests": _Series(
         "(i)",
         lambda i, n: _compose_words(_layered_trees(i, n), n),
         lambda i, n: len(generate_words("G%d" % i, n)),
-        8,
+        ENUMERATION_MAX_DEGREE,
     ),
     "B_trees": _Series("", lambda _, n: _wrap_trees(n), lambda _, n: len(generate_set("T", n)), 7),
     "B_forests": _Series(
@@ -168,7 +179,7 @@ _SERIES = {
         lambda _, n: len(generate_words("T", n)),
         7,
     ),
-    "D_dims": _Series("", _d_dims, lambda _, n: prim_tot_dimension(n), 5),
+    "D_dims": _Series("", _d_dims, lambda _, n: prim_tot_dimension(n), DEFAULT_ANTIPODE_DEGREE),
 }
 
 # Template placeholders document the parametrized ids accepted by

@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 
 from graftwood.families import (
+    CLOSURE_MAX_DEGREE,
     NotInFamilyError,
     _hang,
     _moves,
@@ -28,9 +29,11 @@ from graftwood.forest import (
     OrderedForest,
     OrderedTree,
     PlaneTree,
+    SINGLE_VERTEX,
     concat,
     parse_forest,
     parse_plane_tree,
+    rgraft_basis,
     shape_of,
 )
 
@@ -583,3 +586,10 @@ def test_signature_forest_products_are_g_words():
 def test_br_layer_frozen():
     assert texts(generate_set("Br", 3)) == ["1[2 3]", "1[3[2]]"]
     assert texts(generate_set("Br", 2)) == ["1[2]"]
+
+
+def test_br_trees_are_the_single_vertex_right_grafted_with_bl_words():
+    # the concat/rgraft closure layer against one right graft of a Bl word
+    for n in range(2, CLOSURE_MAX_DEGREE + 1):
+        grafted = {rgraft_basis(SINGLE_VERTEX, w) for w in generate_words("Bl", n - 1)}
+        assert grafted == generate_set("Br", n), n

@@ -34,7 +34,6 @@ from graftwood.forest import (
     parse_forest,
     parse_plane_tree,
     rgraft_basis,
-    rightmost_leaf_label,
     rightmost_path,
     shape_of,
     standardize,
@@ -461,7 +460,6 @@ def test_rightmost_path():
     ]:
         f = parse_forest(text)
         assert rightmost_path(f) == path
-        assert rightmost_leaf_label(f) == path[-1]
     with pytest.raises(ValueError, match="no leaves"):
         rightmost_path(EMPTY_FOREST)
 
@@ -502,9 +500,9 @@ def test_a_forest_without_a_block_prefix_is_its_own_factor():
 
 def test_rightmost_leaf():
     for text, leaf in [("1", 1), ("1 2[3]", 3), ("2[1 3]", 3), ("2[4[1] 3]", 3)]:
-        assert rightmost_leaf_label(parse_forest(text)) == leaf
+        assert rightmost_path(parse_forest(text))[-1] == leaf
     with pytest.raises(ValueError):
-        rightmost_leaf_label(EMPTY_FOREST)
+        rightmost_path(EMPTY_FOREST)[-1]
 
 
 # --- grafting surgery ------------------------------------------------------

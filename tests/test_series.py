@@ -158,6 +158,19 @@ def test_kernel_dims_shift_the_wrap_trees():
         assert d[k] == t[k - 1]
 
 
+def test_wrap_trees_are_the_large_schroeder_numbers():
+    # OEIS A006318: (m + 1) S(m) = 3 (2m - 1) S(m - 1) - (m - 2) S(m - 2)
+    s = [1, 2]
+    for m in range(2, MAX_SERIES_DEGREE):
+        s.append((3 * (2 * m - 1) * s[m - 1] - (m - 2) * s[m - 2]) // (m + 1))
+    t = series_coefficients("B_trees", MAX_SERIES_DEGREE)
+    d = series_coefficients("D_dims", MAX_SERIES_DEGREE)
+    for n in range(1, MAX_SERIES_DEGREE + 1):
+        assert t[n] == s[n - 1], n
+    for n in range(2, MAX_SERIES_DEGREE + 1):
+        assert d[n] == s[n - 2], n
+
+
 def test_kernel_dims_defining_quotient():
     # f_D * (1 + f_B)^2 == f_B coefficientwise in positive degrees; the table
     # is built from B_trees alone, so this checks the relation, not a restatement.
