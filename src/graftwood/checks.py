@@ -25,7 +25,6 @@ from .algebra import (
 )
 from .families import (
     ENUMERATION_MAX_DEGREE,
-    canonical_signature,
     count_indexings,
     generate_set,
     generate_words,
@@ -34,7 +33,7 @@ from .families import (
     oracle_count_indexings,
     signature_of,
 )
-from .forest import EMPTY_FOREST, OrderedForest, shape_of
+from .forest import EMPTY_FOREST, OrderedForest, rightmost_path, shape_of
 from .grafts import _IDENTITIES, check_identity, generate_closure
 from .series import _ceiling, series_coefficients, verify_against_enumeration
 
@@ -252,12 +251,9 @@ def _suite_counts(n: int) -> list[dict]:
     for k in range(1, n + 1):
         chains = ladders(k)
         expected_sigs = {"+" * i + "-" * (k - i) for i in range(1, k + 1)}
-        found = {
-            f
-            for f in generate_set("G", k)
-            if f.is_tree and _is_chain(f.trees[0])
-        }
-        sigs = {canonical_signature(signature_of(f)) for f in found}
+        # a tree is a chain when its rightmost path holds every vertex
+        found = {f for f in generate_set("G", k) if f.is_tree and len(rightmost_path(f)) == k}
+        sigs = {signature_of(f) for f in found}
         if not (
             len(chains) == k
             and set(chains) == expected_sigs
@@ -283,15 +279,6 @@ def _suite_counts(n: int) -> list[dict]:
     failed = "%d of %d cases disagree, e.g. %s"
     rows.append(_row("indexing-counts", failures, passed, failed, len(cases)))
     return rows
-
-
-def _is_chain(tree) -> bool:
-    node = tree
-    while node.children:
-        if len(node.children) != 1:
-            return False
-        node = node.children[0]
-    return True
 
 
 def _suite_primtot(n: int) -> list[dict]:

@@ -21,8 +21,9 @@ families are carved out of this picture:
              products of smaller such trees (two orientations, ``Tplus`` and
              ``Tminus``),
 * ``Bl``     trees built with the wrap move only,
-* ``Br``     trees arising in the closure of the single vertex under
-             concatenation and the right graft,
+* ``Br``     the single vertex right-grafted with a ``Bl`` word: root 1
+             over a ``Bl`` word on the labels 2..n (the closure of the
+             single vertex under concatenation and the right graft),
 * ``B``      forests whose label-block factors are all ``T`` trees (the
              word basis the coproduct lives on).
 """
@@ -35,7 +36,6 @@ from functools import lru_cache
 from typing import Iterator
 
 from .forest import (
-    _BASIS_OPS,
     EMPTY_FOREST,
     OrderedForest,
     OrderedTree,
@@ -43,7 +43,7 @@ from .forest import (
     SINGLE_VERTEX,
     _hang,
     concat,
-    shape_of,
+    rgraft_basis,
 )
 
 __all__ = [
@@ -63,7 +63,6 @@ __all__ = [
 ]
 
 ENUMERATION_MAX_DEGREE = 8
-CLOSURE_MAX_DEGREE = 7
 
 
 class NotInFamilyError(ValueError):
@@ -155,13 +154,15 @@ def generate_set(
 
     G/G0/G<i> selectors return forests (the union over the admissible
     signatures); the tree families (T, Tplus, Tminus, Bl, Br) return their
-    trees as single-tree forests.  A signature narrows the G selector to one
+    trees as single-tree forests, Br as the single vertex right-grafted with
+    each Bl word of degree n - 1.  A signature narrows the G selector to one
     signature set and is rejected for every other selector.
     """
     kind, i = _parse_selector(selector)
-    limit = CLOSURE_MAX_DEGREE if kind == "Br" else ENUMERATION_MAX_DEGREE
-    if not 1 <= n <= limit:
-        raise ValueError("degree must be in 1..%d for %s, got %d" % (limit, selector, n))
+    if not 1 <= n <= ENUMERATION_MAX_DEGREE:
+        raise ValueError(
+            "degree must be in 1..%d for %s, got %d" % (ENUMERATION_MAX_DEGREE, selector, n)
+        )
     if signature is not None:
         if kind != "G":
             raise ValueError("a signature can only narrow the G selector")
@@ -175,7 +176,7 @@ def generate_set(
         tails = itertools.product("+-", repeat=tail)
         return frozenset().union(*(_signature_set("+" * (n - tail) + "".join(t)) for t in tails))
     if kind == "Br":
-        return frozenset(f for f in _closure_layer(_BR_OPS, n) if f.is_tree)
+        return frozenset(rgraft_basis(SINGLE_VERTEX, w) for w in generate_words("Bl", n - 1))
     if kind in _TREE_FAMILIES:
         return _tree_layer(kind, n)
     raise ValueError("selector %r cannot be enumerated by degree" % selector)
@@ -201,29 +202,6 @@ def _tree_layer(kind: str, n: int) -> frozenset[OrderedForest]:
     build = {"+": b_plus, "-": b_minus}
     words = generate_words(below, n - 1)
     return frozenset(OrderedForest((build[move](w),)) for move in top for w in words)
-
-
-# Br is the closure under concatenation and the right graft.
-_BR_OPS = ("concat", "rgraft")
-
-
-@lru_cache(maxsize=None)
-def _closure_layer(ops: tuple[str, ...], n: int) -> frozenset[OrderedForest]:
-    """Degree-n layer of the closure of the single vertex under the named
-    basis operations.  Every operation adds degrees, so layer n is built
-    from the pairs of lower layers alone."""
-    if n == 1:
-        return frozenset({SINGLE_VERTEX})
-    fns = [_BASIS_OPS[op] for op in ops]
-    out: set[OrderedForest] = set()
-    for k in range(1, n):
-        for a in _closure_layer(ops, k):
-            for b in _closure_layer(ops, n - k):
-                for fn in fns:
-                    res = fn(a, b)
-                    if res is not None:
-                        out.add(res)
-    return frozenset(out)
 
 
 def generate_words(selector: str, n: int) -> frozenset[OrderedForest]:
@@ -315,15 +293,9 @@ def _count(kind: str, i: int | None, trees: tuple, n: int, labelled: bool) -> in
     if len(trees) != 1:
         return 0
     if kind == "Br":
-        if n > CLOSURE_MAX_DEGREE:
-            raise ValueError(
-                "Br membership is decided against the generated closure, degree <= %d"
-                % CLOSURE_MAX_DEGREE
-            )
-        layer = _closure_layer(_BR_OPS, n)
-        if labelled:
-            return OrderedForest(trees) in layer
-        return sum(shape_of(f) == trees for f in layer)
+        # root 1 over a Bl word on the labels 2..n
+        root = trees[0]
+        return (not labelled or root.label == 1) * _word_count(root.children, 1, "-", "-", labelled)
     top, below = _TREE_FAMILIES[kind]
     return _word_count(trees, 0, top, _TREE_FAMILIES[below][0], labelled)
 
@@ -387,9 +359,9 @@ def oracle_count_indexings(shape: PlaneTree, family: str = "G") -> int:
 
     Each sequence labels the vertex removed at step k by k, and a labelling
     lies in the family exactly when its peel follows one, so the sequences
-    are the labellings.  Independent of the counting formulas.  A T word
-    multiplies over its trees' consecutive label blocks; Br, decided against
-    its generated closure, counts that closure's trees of the shape.
+    are the labellings.  Independent of the counting formulas.  A word
+    multiplies over its trees' consecutive label blocks; a Br tree is its
+    root 1 over a Bl word on the labels 2..n.
     Guarded to degree <= 8.
     """
     n = shape.degree

@@ -9,6 +9,7 @@ vanish on one unit argument and are undefined on two.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .algebra import (
@@ -21,11 +22,11 @@ from .algebra import (
     expand_right,
     product,
 )
-from .families import CLOSURE_MAX_DEGREE, _closure_layer
 from .forest import (
     _BASIS_OPS,
     EMPTY_FOREST,
     OrderedForest,
+    SINGLE_VERTEX,
     concat,
     lgraft_basis,
     nwarrow,
@@ -44,6 +45,8 @@ __all__ = [
 ]
 
 GRAFT_OPS = tuple(_BASIS_OPS)
+
+CLOSURE_MAX_DEGREE = 7
 
 
 def _basis_op(name: str):
@@ -225,6 +228,25 @@ def check_identity(name: str, args: Sequence[OrderedForest]) -> bool:
     if len(args) != arity:
         raise ValueError("%s takes %d argument(s), got %d" % (name, arity, len(args)))
     return fn(*args)
+
+
+@lru_cache(maxsize=None)
+def _closure_layer(ops: tuple[str, ...], n: int) -> frozenset[OrderedForest]:
+    """Degree-n layer of the closure of the single vertex under the named
+    basis operations.  Every operation adds degrees, so layer n is built
+    from the pairs of lower layers alone."""
+    if n == 1:
+        return frozenset({SINGLE_VERTEX})
+    fns = [_BASIS_OPS[op] for op in ops]
+    out: set[OrderedForest] = set()
+    for k in range(1, n):
+        for a in _closure_layer(ops, k):
+            for b in _closure_layer(ops, n - k):
+                for fn in fns:
+                    res = fn(a, b)
+                    if res is not None:
+                        out.add(res)
+    return frozenset(out)
 
 
 def generate_closure(ops: Iterable[str], max_degree: int) -> frozenset[OrderedForest]:

@@ -42,7 +42,7 @@ MEMOS = (
     "graftwood.algebra._antipode_forest",
     "graftwood.families._signature_set",
     "graftwood.families._tree_layer",
-    "graftwood.families._closure_layer",
+    "graftwood.grafts._closure_layer",
     "graftwood.families._words_over",
 )
 

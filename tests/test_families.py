@@ -7,7 +7,6 @@ from collections import Counter
 import pytest
 
 from graftwood.families import (
-    CLOSURE_MAX_DEGREE,
     NotInFamilyError,
     _hang,
     _moves,
@@ -29,13 +28,12 @@ from graftwood.forest import (
     OrderedForest,
     OrderedTree,
     PlaneTree,
-    SINGLE_VERTEX,
     concat,
     parse_forest,
     parse_plane_tree,
-    rgraft_basis,
     shape_of,
 )
+from graftwood.series import series_coefficients
 
 
 def texts(forests):
@@ -345,7 +343,7 @@ def test_selector_errors():
     with pytest.raises(ValueError):
         generate_set("G", 9)
     with pytest.raises(ValueError):
-        generate_set("Br", 8)
+        generate_set("Br", 9)
     with pytest.raises(ValueError):
         generate_set("G", 3, "++")
 
@@ -588,8 +586,12 @@ def test_br_layer_frozen():
     assert texts(generate_set("Br", 2)) == ["1[2]"]
 
 
-def test_br_trees_are_the_single_vertex_right_grafted_with_bl_words():
-    # the concat/rgraft closure layer against one right graft of a Bl word
-    for n in range(2, CLOSURE_MAX_DEGREE + 1):
-        grafted = {rgraft_basis(SINGLE_VERTEX, w) for w in generate_words("Bl", n - 1)}
-        assert grafted == generate_set("Br", n), n
+def test_br_at_degree_8_is_one_tree_per_plane_shape():
+    # past the degree the concat/rgraft closure is generated to
+    layer = generate_set("Br", 8)
+    assert len(layer) == series_coefficients("B0_trees", 8)[8] == 429
+    assert {shape_of(f) for f in layer} == {shape_of(f) for f in generate_set("Bl", 8)}
+    assert all(f.trees[0].label == 1 for f in layer)
+    for n in range(1, 9):
+        for shape in all_shapes(n):
+            assert oracle_count_indexings(shape, "Br") == 1, str(shape)

@@ -8,6 +8,7 @@ from graftwood.algebra import AlgebraElement, Tensor2Element, coproduct
 from graftwood.families import generate_set, generate_words
 from graftwood.forest import BothUnitsError, EMPTY_FOREST, parse_forest, rgraft_basis
 from graftwood.grafts import (
+    CLOSURE_MAX_DEGREE,
     GRAFT_OPS,
     IDENTITY_NAMES,
     check_identity,
@@ -234,10 +235,12 @@ def test_closure_concat_only_is_the_dot_words():
 
 
 def test_closure_matches_br_family_layers():
-    closure = generate_closure(("concat", "rgraft"), 5)
-    for d in range(1, 6):
+    # Br as the paper defines it, the closure of the single vertex under
+    # concatenation and the right graft, against its Bl-word layers
+    closure = generate_closure(("concat", "rgraft"), CLOSURE_MAX_DEGREE)
+    for d in range(1, CLOSURE_MAX_DEGREE + 1):
         trees = {f for f in closure if f.degree == d and f.is_tree}
-        assert trees == generate_set("Br", d)
+        assert trees == generate_set("Br", d), d
 
 
 def test_closure_guards():

@@ -2,6 +2,8 @@
 and the enumeration cross-checks."""
 
 import math
+from collections import Counter
+from functools import lru_cache
 
 import pytest
 
@@ -264,3 +266,70 @@ def test_verification_degree_ceilings():
         verify_against_enumeration("D_dims", 6)
     with pytest.raises(ValueError):
         verify_against_enumeration("Binfty_forests", 9)
+
+
+# --- the G tables past the enumeration ceiling ---------------------------------
+#
+# A shape is a nested tuple: a tree is the tuple of its children, a forest the
+# tuple of its trees.  The labellings of a shape in G (in G0) are its complete
+# peel sequences, undoing one move per step with the top label.
+
+
+@lru_cache(maxsize=None)
+def _shape_forests(n):
+    """Every plane forest with n vertices."""
+    if n == 0:
+        return ((),)
+    return tuple(
+        (kids,) + rest
+        for k in range(1, n + 1)
+        for kids in _shape_forests(k - 1)
+        for rest in _shape_forests(n - k)
+    )
+
+
+@lru_cache(maxsize=None)
+def _peels(forest, minus):
+    """Complete peel sequences of a shape forest.  "-" (when allowed) unwraps
+    a lone tree; "+" drops a bare last tree, or unhangs the last child of the
+    last root, whose children become the last trees."""
+    if forest == ((),):
+        return 1
+    last = forest[-1]
+    count = _peels(last, minus) if minus and len(forest) == 1 else 0
+    if last:
+        return count + _peels(forest[:-1] + (last[:-1],) + last[-1], minus)
+    return count + _peels(forest[:-1], minus)
+
+
+def test_g_tables_match_the_shape_peel_count_past_the_enumeration_ceiling():
+    n_max = 10
+    tables = {
+        series_id: series_coefficients(series_id, n_max)
+        for series_id in (
+            "Binfty_forests",
+            "Binfty_trees",
+            "Binfty_length(1)",
+            "Binfty_length(2)",
+            "Binfty_length(3)",
+            "B0_forests",
+            "B0_trees",
+        )
+    }
+    for n in range(1, n_max + 1):
+        # labellings by the number of trees, with and without the "-" move
+        g, g0 = Counter(), Counter()
+        for forest in _shape_forests(n):
+            g[len(forest)] += _peels(forest, True)
+            g0[len(forest)] += _peels(forest, False)
+        counted = {
+            "Binfty_forests": sum(g.values()),
+            "Binfty_trees": g[1],
+            "Binfty_length(1)": g[1],
+            "Binfty_length(2)": g[2],
+            "Binfty_length(3)": g[3],
+            "B0_forests": sum(g0.values()),
+            "B0_trees": g0[1],
+        }
+        for series_id, table in tables.items():
+            assert table[n] == counted[series_id], (series_id, n)
