@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 
 from graftwood.families import (
+    ENUMERATION_MAX_DEGREE,
     NotInFamilyError,
     _hang,
     _moves,
@@ -28,9 +29,11 @@ from graftwood.forest import (
     OrderedForest,
     OrderedTree,
     PlaneTree,
+    SINGLE_VERTEX,
     concat,
     parse_forest,
     parse_plane_tree,
+    rgraft_basis,
     shape_of,
 )
 from graftwood.series import series_coefficients
@@ -584,6 +587,15 @@ def test_signature_forest_products_are_g_words():
 def test_br_layer_frozen():
     assert texts(generate_set("Br", 3)) == ["1[2 3]", "1[3[2]]"]
     assert texts(generate_set("Br", 2)) == ["1[2]"]
+
+
+def test_br_trees_are_the_single_vertex_right_grafted_with_bl_words():
+    # the enumeration, and the membership peel on the root's children, against
+    # one right graft of each Bl word
+    for n in range(2, ENUMERATION_MAX_DEGREE + 1):
+        grafted = {rgraft_basis(SINGLE_VERTEX, w) for w in generate_words("Bl", n - 1)}
+        assert grafted == generate_set("Br", n), n
+        assert all(membership("Br", f) for f in grafted), n
 
 
 def test_br_at_degree_8_is_one_tree_per_plane_shape():
