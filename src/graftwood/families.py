@@ -42,6 +42,7 @@ from .forest import (
     PlaneTree,
     SINGLE_VERTEX,
     _hang,
+    _leaf,
     concat,
     rgraft_basis,
 )
@@ -72,15 +73,15 @@ class NotInFamilyError(ValueError):
 def b_minus(forest: OrderedForest) -> OrderedTree:
     """Wrap the forest under a new maximal root (single vertex if empty)."""
     if forest.is_empty:
-        return OrderedTree(1)
-    return OrderedTree(forest.degree + 1, forest.trees)
+        return _leaf(1)
+    return tuple.__new__(OrderedTree, (forest.degree + 1, forest.trees))
 
 
 def b_plus(forest: OrderedForest) -> OrderedTree:
     """Hang a new maximal vertex as the rightmost child of the first tree's
     root; the remaining trees become the new vertex's children."""
     if forest.is_empty:
-        return OrderedTree(1)
+        return _leaf(1)
     return _hang(forest.trees, 0, forest.degree + 1)[0]
 
 
@@ -125,7 +126,7 @@ def _signature_set(signature: str) -> frozenset[OrderedForest]:
         if signature[-1] == "-":
             out.add(OrderedForest((b_minus(f),)))
         else:
-            out.add(OrderedForest(f.trees + (OrderedTree(n),)))
+            out.add(OrderedForest(f.trees + (_leaf(n),)))
             out.update(OrderedForest(_hang(f.trees, i, n)) for i in range(len(f.trees)))
     return frozenset(out)
 
@@ -176,7 +177,7 @@ def generate_set(
         tails = itertools.product("+-", repeat=tail)
         return frozenset().union(*(_signature_set("+" * (n - tail) + "".join(t)) for t in tails))
     if kind == "Br":
-        return frozenset(rgraft_basis(SINGLE_VERTEX, w) for w in generate_words("Bl", n - 1))
+        return frozenset(rgraft_basis(SINGLE_VERTEX, w) for w in _words_over("Bl", n - 1))
     if kind in _TREE_FAMILIES:
         return _tree_layer(kind, n)
     raise ValueError("selector %r cannot be enumerated by degree" % selector)
@@ -200,27 +201,30 @@ def _tree_layer(kind: str, n: int) -> frozenset[OrderedForest]:
         return frozenset({SINGLE_VERTEX})
     top, below = _TREE_FAMILIES[kind]
     build = {"+": b_plus, "-": b_minus}
-    words = generate_words(below, n - 1)
+    words = _words_over(below, n - 1)
     return frozenset(OrderedForest((build[move](w),)) for move in top for w in words)
 
 
 def generate_words(selector: str, n: int) -> frozenset[OrderedForest]:
-    """All degree-n words (block concatenations) over a family's trees."""
-    return _words_over(selector, n)
+    """All degree-n words (block concatenations) over a family's trees: a
+    fresh set per call over the memoised layer."""
+    return frozenset(_words_over(selector, n))
 
 
 @lru_cache(maxsize=None)
-def _words_over(selector: str, n: int) -> frozenset[OrderedForest]:
+def _words_over(selector: str, n: int) -> tuple[OrderedForest, ...]:
+    """The degree-n words as a tuple, which costs a fraction of a set.  A word
+    is its first tree followed by a shorter word, and both are read back from
+    it, so no word is built twice."""
     if n == 0:
-        return frozenset({EMPTY_FOREST})
-    out: set[OrderedForest] = set()
-    for k in range(1, n + 1):
-        for f in generate_set(selector, k):
-            if not f.is_tree:
-                continue
-            for tail in _words_over(selector, n - k):
-                out.add(concat(f, tail))
-    return frozenset(out)
+        return (EMPTY_FOREST,)
+    return tuple(
+        concat(f, tail)
+        for k in range(1, n + 1)
+        for f in generate_set(selector, k)
+        if f.is_tree
+        for tail in _words_over(selector, n - k)
+    )
 
 
 # --- membership: the peel moves ---------------------------------------------
@@ -237,7 +241,8 @@ def _moves(trees: tuple) -> Iterator[tuple[str, tuple, tuple]]:
     if len(trees) == 1:
         yield "-", last, kids
     if kids:
-        rest = trees[:-1] + (last._replace(children=kids[:-1]),) + kids[-1].children
+        unhung = tuple.__new__(type(last), last[:-1] + (kids[:-1],))  # a tree or a shape
+        rest = trees[:-1] + (unhung,) + kids[-1].children
         yield "+", kids[-1], rest
     else:
         yield "+", last, trees[:-1]
@@ -396,7 +401,7 @@ def canonical_indexing(shape: PlaneTree, family: str) -> OrderedTree:
 
 def _canonical_allplus(shape: PlaneTree) -> OrderedTree:
     if not shape.children:
-        return OrderedTree(1)
+        return _leaf(1)
     last = shape.children[-1]
     head = _canonical_allplus(PlaneTree(shape.children[:-1]))
     forest = OrderedForest((head,))
@@ -415,7 +420,7 @@ def ladders(n: int) -> dict[str, OrderedTree]:
     out: dict[str, OrderedTree] = {}
     for i in range(1, n + 1):
         labels = [*range(n, i, -1), *(i - k // 2 if k % 2 else k // 2 + 1 for k in range(i))]
-        tree = OrderedTree(labels.pop())
+        tree = _leaf(labels.pop())
         for label in reversed(labels):
             tree = OrderedTree(label, (tree,))
         out["+" * i + "-" * (n - i)] = tree

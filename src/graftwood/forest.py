@@ -6,10 +6,13 @@ label, an inner vertex as ``label[child child ...]``, sibling trees are
 separated by single spaces, and the empty forest prints as ``()``.
 
 Trees and shapes are immutable named tuples, ``(label, children)`` and
-``(children,)``, that hash and compare as plain tuples.  Forests are interned
-(hash-consed) immutable slotted objects over their trees: equal forests are
-one object, so they compare and hash by identity, and each takes its degree
-and its text once, when first asked.  ``standardize``
+``(children,)``, that hash and compare as plain tuples.  Every leaf the module
+builds is the one leaf of its label (``_leaf``), and the hot paths build inner
+vertices with ``tuple.__new__``, past the named tuple's Python constructor.
+Forests are interned (hash-consed) immutable slotted objects over their trees,
+through a dict of weak references that drop their own entries: equal forests
+are one object, so they compare and hash by identity, and each takes its
+degree and its text once, when first asked.  ``standardize``
 is memoised on the trees and ``concat`` on the two forests; both return
 shared forests, so each distinct cut leg is relabelled, measured and printed
 once.  Cuts are not memoised: the coproduct keeps its own results.
@@ -44,21 +47,52 @@ class OrderedTree(NamedTuple):
 
     @property
     def degree(self) -> int:
-        return 1 + sum(c.degree for c in self.children)
+        return _size(self)
 
     def labels(self) -> Iterator[int]:
         """All vertex labels in preorder."""
         return iter(_preorder((self,)))
 
     def __str__(self) -> str:
-        if not self.children:
-            return str(self.label)
-        return "%d[%s]" % (self.label, " ".join(str(c) for c in self.children))
+        out, stack = [], [self]  # the stack holds trees and the text to close them
+        while stack:
+            t = stack.pop()
+            if isinstance(t, str):
+                out.append(t)
+            elif t.children:
+                out.append("%d[" % t.label)
+                stack.append("]")
+                for k, c in enumerate(reversed(t.children)):
+                    stack.extend((" ", c) if k else (c,))
+            else:
+                out.append(str(t.label))
+        return "".join(out)
+
+
+# The one leaf of each label: most vertices of a forest are leaves, and only a
+# few labels occur, so sharing them saves most of the tree objects.
+_leaf = lru_cache(maxsize=None)(OrderedTree)
+
+
+class _Ref(weakref.ref):
+    """A weak reference to an interned forest that carries its table key."""
+
+    __slots__ = ("key",)
 
 
 # The live forests by their trees, held weakly: a strong table would only grow,
-# and clearing it would split equal forests into separate objects.
-_INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+# and clearing it would split equal forests into separate objects.  A plain dict
+# of ``_Ref``s keeps the lookup and the registration in C; a dying forest's
+# callback drops its entry.
+_INTERNED: dict[tuple, _Ref] = {}
+
+
+def _forget(ref: _Ref, table: dict = _INTERNED) -> None:
+    """Drop a dead forest's entry, unless a newer forest holds the key.  The
+    table is bound here, so the callback still finds it while the interpreter
+    tears the module down."""
+    if table.get(ref.key) is ref:
+        del table[ref.key]
 
 
 class OrderedForest:
@@ -72,11 +106,15 @@ class OrderedForest:
     __slots__ = ("trees", "_degree", "_text", "__weakref__")
 
     def __new__(cls, trees: tuple[OrderedTree, ...] = ()):
-        forest = _INTERNED.get(trees)
-        if forest is None:
-            forest = object.__new__(cls)
-            object.__setattr__(forest, "trees", trees)
-            _INTERNED[trees] = forest
+        ref = _INTERNED.get(trees)
+        if ref is not None:
+            forest = ref()
+            if forest is not None:
+                return forest
+        forest = object.__new__(cls)
+        object.__setattr__(forest, "trees", trees)
+        ref = _INTERNED[trees] = _Ref(forest, _forget)
+        ref.key = trees
         return forest
 
     def __setattr__(self, name: str, value=None) -> None:
@@ -128,7 +166,7 @@ class PlaneTree(NamedTuple):
 
     @property
     def degree(self) -> int:
-        return 1 + sum(c.degree for c in self.children)
+        return _size(self)
 
     def __str__(self) -> str:
         if not self.children:
@@ -137,17 +175,26 @@ class PlaneTree(NamedTuple):
 
 
 EMPTY_FOREST = OrderedForest(())
-SINGLE_VERTEX = OrderedForest((OrderedTree(1),))
+SINGLE_VERTEX = OrderedForest((_leaf(1),))
 
 _TOKEN = re.compile(r"[0-9]+|[\[\]]")
 _STRAY = re.compile(r"[^0-9\[\]\s]")
 
 # Deepest root-to-leaf path, in vertices, that the parser accepts (the README
-# states the rule).  The parser keeps its own stack, but the other tree walks
+# states the rule).  The parser keeps its own stack, but some other tree walks
 # recurse once per level and nwarrow stacks one input on the other, so the cap
 # keeps twice its depth within Python's default recursion limit.
 _MAX_DEPTH = 100
 _MAX_DIGITS = 4300  # longest label: Python's default limit on the digits int() reads
+
+
+def _size(t: OrderedTree | PlaneTree) -> int:
+    """The vertices of a tree or shape, counted with an explicit stack."""
+    n, stack = 0, [t]
+    while stack:
+        n += 1
+        stack.extend(stack.pop().children)
+    return n
 
 
 def _preorder(trees: Sequence[OrderedTree]) -> list[int]:
@@ -174,7 +221,7 @@ def _parse_trees(text: str) -> tuple[OrderedTree, ...]:
             if len(levels) == 1:
                 raise ForestSyntaxError("unbalanced closing bracket")
             kids = tuple(levels.pop())
-            levels[-1][-1] = OrderedTree(levels[-1][-1].label, kids)
+            levels[-1][-1] = tuple.__new__(OrderedTree, (levels[-1][-1].label, kids))
         elif tok == "[" and prev.isdigit():
             levels.append([])
         elif not tok.isdigit():
@@ -186,7 +233,7 @@ def _parse_trees(text: str) -> tuple[OrderedTree, ...]:
         elif len(levels) > _MAX_DEPTH:
             raise ForestSyntaxError("trees nested deeper than %d vertices" % _MAX_DEPTH)
         else:
-            levels[-1].append(OrderedTree(int(tok)))
+            levels[-1].append(_leaf(int(tok)))
         prev = tok
     if prev == "[" or len(levels) > 1:
         raise ForestSyntaxError("unexpected end of input")
@@ -243,8 +290,10 @@ def shape_of(forest: OrderedForest) -> tuple[PlaneTree, ...]:
 def _relabel(t: OrderedTree, remap) -> OrderedTree:
     """The same tree with every label replaced by remap(label)."""
     if not t.children:
-        return OrderedTree(remap(t.label))
-    return OrderedTree(remap(t.label), tuple(_relabel(c, remap) for c in t.children))
+        return _leaf(remap(t.label))
+    return tuple.__new__(
+        OrderedTree, (remap(t.label), tuple([_relabel(c, remap) for c in t.children]))
+    )
 
 
 def standardize(vertices: Sequence[OrderedTree] | OrderedForest) -> OrderedForest:
@@ -281,7 +330,8 @@ def blocks(forest: OrderedForest) -> tuple[OrderedForest, ...]:
     proper block prefix.  A forest with none, () too, is its own only factor."""
     trees, runs, start, size, top = forest.trees, [], 0, 0, 0
     for k, t in enumerate(trees[:-1], start=1):
-        size, top = size + t.degree, max(top, *t.labels())
+        labels = _preorder((t,))
+        size, top = size + len(labels), max(top, *labels)
         if top == size:
             runs.append(trees[start:k])
             start = k
@@ -370,7 +420,9 @@ def cut_split(
             stack.pop()
             if t is not None:
                 kids = tuple(kept)
-                stack[-1][2].append(t if kids == t.children else OrderedTree(t.label, kids))
+                stack[-1][2].append(
+                    t if kids == t.children else tuple.__new__(OrderedTree, (t.label, kids))
+                )
     # the walk stops at every cut vertex, so a cut label it never reached
     # lies outside the forest or below another cut vertex
     if len(extracted) != len(cut):
@@ -433,8 +485,9 @@ def lgraft_basis(left: OrderedForest, right: OrderedForest) -> OrderedForest | N
 def _hang(trees: tuple, i: int, n: int) -> tuple:
     """The "+" hang: vertex n becomes the last child of the root of tree i,
     and the trees after i become n's children."""
-    t = trees[i]
-    return trees[:i] + (OrderedTree(t.label, t.children + (OrderedTree(n, trees[i + 1 :]),)),)
+    t, below = trees[i], trees[i + 1 :]
+    hung = tuple.__new__(OrderedTree, (n, below)) if below else _leaf(n)
+    return trees[:i] + (tuple.__new__(OrderedTree, (t.label, t.children + (hung,))),)
 
 
 def rgraft_basis(left: OrderedForest, right: OrderedForest) -> OrderedForest | None:

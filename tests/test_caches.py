@@ -36,6 +36,7 @@ def _results():
 
 
 MEMOS = (
+    "graftwood.forest._leaf",
     "graftwood.forest._standardized",
     "graftwood.forest._concatenated",
     "graftwood.algebra._forest_coproduct",
@@ -59,3 +60,20 @@ def test_results_do_not_depend_on_warm_caches():
         assert cache.cache_info().currsize == 0
     assert _results() == first
 
+
+# The counts suite builds every family table and word layer the package
+# memoises, so it is the heaviest suite; its memos hold about 9.8 MB.
+_COUNTS_PEAK = """
+import tracemalloc
+from graftwood import run_suite
+tracemalloc.start()
+run_suite("counts")
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
+def test_the_counts_suite_peaks_under_12_mb_of_python_allocations(fresh_python):
+    proc = fresh_python(["-c", _COUNTS_PEAK])
+    assert proc.returncode == 0, proc.stderr.decode()
+    peak = int(proc.stdout)
+    assert peak <= 12 * 2**20, "%.2f MB" % (peak / 2**20)

@@ -1,14 +1,9 @@
 """Golden-file tests for the command line: known inputs, byte-exact output."""
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import graftwood
 from graftwood.algebra import COPRODUCT_VARIANTS, _normalize_variant
 from graftwood.cli import COPRODUCT_CHOICES, execute, main
 from graftwood.forest import _MAX_DEPTH
@@ -450,17 +445,8 @@ def test_execute_is_deterministic(run):
     assert first[0] == 0
 
 
-def _python(args, **env):
-    """Run a fresh interpreter on the package under test, with extra
-    environment variables."""
-    src = str(Path(graftwood.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path, **env)
-    return subprocess.run([sys.executable, *args], capture_output=True, env=env, timeout=120)
-
-
-def test_python_dash_m_runs_the_cli():
-    proc = _python(["-m", "graftwood", "enumerate", "--set", "G", "--degree", "2"])
+def test_python_dash_m_runs_the_cli(fresh_python):
+    proc = fresh_python(["-m", "graftwood", "enumerate", "--set", "G", "--degree", "2"])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == b"1 2\n1[2]\n2[1]\n"
 
@@ -482,10 +468,10 @@ _SHIFTED = (
         ["enumerate", "--set", "G", "--degree", "4"],
     ],
 )
-def test_output_depends_on_neither_addresses_nor_the_hash_seed(argv):
+def test_output_depends_on_neither_addresses_nor_the_hash_seed(fresh_python, argv):
     # forests hash by identity, so sets of them iterate in address order
-    plain = _python(["-m", "graftwood", *argv], PYTHONHASHSEED="0")
-    shifted = _python(["-c", _SHIFTED, *argv], PYTHONHASHSEED="4242")
+    plain = fresh_python(["-m", "graftwood", *argv], PYTHONHASHSEED="0")
+    shifted = fresh_python(["-c", _SHIFTED, *argv], PYTHONHASHSEED="4242")
     assert plain.stdout and plain.returncode in (0, 1), plain.stderr
     assert (shifted.returncode, shifted.stdout) == (plain.returncode, plain.stdout)
 

@@ -11,6 +11,7 @@ from graftwood.families import (
     NotInFamilyError,
     _hang,
     _moves,
+    _words_over,
     b_minus,
     b_plus,
     canonical_indexing,
@@ -275,6 +276,16 @@ def test_t_halves_partition():
 def test_word_counts_small():
     for n, count in enumerate([1, 3, 11, 45], start=1):
         assert len(generate_words("T", n)) == count
+
+
+def test_word_layers_hold_each_word_once():
+    for selector in ("T", "Bl", "G0", "G2"):
+        for n in range(7):
+            layer = _words_over(selector, n)
+            assert type(layer) is tuple and len(layer) == len(generate_words(selector, n))
+            # a fresh set per call, equal to the last
+            assert generate_words(selector, n) is not generate_words(selector, n)
+            assert generate_words(selector, n) == frozenset(layer)
 
 
 # --- membership --------------------------------------------------------------
@@ -607,3 +618,57 @@ def test_br_at_degree_8_is_one_tree_per_plane_shape():
     for n in range(1, 9):
         for shape in all_shapes(n):
             assert oracle_count_indexings(shape, "Br") == 1, str(shape)
+
+
+# --- the trees the surgery builds --------------------------------------------
+
+# Run in a fresh interpreter: a forest equal to one built elsewhere in the
+# session, from trees made by hand, is that interned forest with its leaves.
+_CONSTRUCTOR_CHECK = """
+from graftwood.families import _moves, b_minus, b_plus, generate_set, generate_words
+from graftwood.forest import (
+    OrderedTree, PlaneTree, admissible_cuts, concat, cut_split, parse_forest,
+    shape_of, standardize,
+)
+
+def nodes(trees):
+    stack = list(trees)
+    while stack:
+        t = stack.pop()
+        yield t
+        stack.extend(t.children)
+
+forests = {f for n in range(1, 7) for f in generate_set("G", n)}
+forests |= {w for n in range(1, 7) for w in generate_words("T", n)}
+kept, peeled, shapes = [], [], []
+for f in forests:
+    kept += f.trees + parse_forest(f.text).trees + concat(f, f).trees
+    kept += standardize(f.trees[::-1]).trees + (b_plus(f), b_minus(f))
+    for cut in admissible_cuts(f):
+        for leg in cut_split(f, cut):
+            kept += leg.trees
+    if f.degree > 1:
+        for _, removed, rest in _moves(f.trees):
+            peeled += (removed,) + rest
+        for _, removed, rest in _moves(shape_of(f)):
+            shapes += (removed,) + rest
+leaves = {}
+for t in nodes(kept):
+    assert type(t) is OrderedTree and type(t.children) is tuple, t
+    if not t.children:
+        assert leaves.setdefault(t.label, t) is t, t
+for t in nodes(peeled):
+    assert type(t) is OrderedTree and type(t.children) is tuple, t
+for t in nodes(shapes):
+    assert type(t) is PlaneTree and type(t.children) is tuple, t
+"""
+
+
+def test_the_constructors_build_plain_trees_over_shared_leaves(fresh_python):
+    """Every tree built on the hot paths, from every G forest and T word of
+    degree <= 6, is a plain OrderedTree (a PlaneTree for shapes) over a tuple
+    of children, and each label has one leaf.  The rests of ``_moves`` are
+    peeled, not kept, so an unhung root there may be a leaf of its own: only
+    their types are checked."""
+    proc = fresh_python(["-c", _CONSTRUCTOR_CHECK])
+    assert proc.returncode == 0, proc.stderr.decode()

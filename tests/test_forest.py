@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graftwood.families import generate_set
+from graftwood.families import generate_set, ladders
 from graftwood.forest import (
     _INTERNED,
     _MAX_CUTS,
@@ -172,6 +172,19 @@ def test_labels_walk_in_preorder_with_an_explicit_stack():
     assert list(OrderedForest((deep, OrderedTree(5001))).labels())[-2:] == [1, 5001]
 
 
+def test_text_and_degree_of_a_deep_chain_walk_with_an_explicit_stack():
+    # a walk nested per level would exceed the recursion limit here
+    chain = ladders(600)["+" * 600]
+    forest = OrderedForest((chain,))
+    labels = list(forest.labels())
+    assert forest.text == format_forest(forest) == "[".join(map(str, labels)) + "]" * 599
+    assert forest.degree == chain.degree == 600
+    shape = PlaneTree()
+    for _ in range(4999):
+        shape = PlaneTree((shape,))
+    assert shape.degree == 5000
+
+
 def test_degree_and_flags():
     f = parse_forest("2[4[1] 3]")
     assert f.degree == 4 and f.is_tree and not f.is_empty
@@ -227,7 +240,7 @@ def test_the_intern_table_drops_a_forest_nothing_holds():
     size = len(_INTERNED)
     forest = OrderedForest(trees)
     alive = weakref.ref(forest)
-    assert _INTERNED[trees] is forest and len(_INTERNED) == size + 1
+    assert _INTERNED[trees]() is forest and len(_INTERNED) == size + 1
     del forest
     assert alive() is None
     assert trees not in _INTERNED and len(_INTERNED) == size
