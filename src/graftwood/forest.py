@@ -6,7 +6,7 @@ label, an inner vertex as ``label[child child ...]``, sibling trees are
 separated by single spaces, and the empty forest prints as ``()``.
 
 Trees and shapes are immutable named tuples, ``(label, children)`` and
-``(children,)``, that hash and compare as plain tuples.  Every leaf the module
+``(children,)``, that hash and compare as plain tuples.  Every leaf the package
 builds is the one leaf of its label (``_leaf``), and the hot paths build inner
 vertices with ``tuple.__new__``, past the named tuple's Python constructor.
 Forests are interned (hash-consed) immutable slotted objects over their trees,
@@ -54,7 +54,7 @@ class OrderedTree(NamedTuple):
         return iter(_preorder((self,)))
 
     def __str__(self) -> str:
-        out, stack = [], [self]  # the stack holds trees and the text to close them
+        out, stack = [], [self]  # the stack holds trees and the text between them
         while stack:
             t = stack.pop()
             if isinstance(t, str):

@@ -62,7 +62,7 @@ def test_results_do_not_depend_on_warm_caches():
 
 
 # The counts suite builds every family table and word layer the package
-# memoises, so it is the heaviest suite; its memos hold about 9.8 MB.
+# memoises, so it is the heaviest suite: it peaks at about 9.8 MB.
 _COUNTS_PEAK = """
 import tracemalloc
 from graftwood import run_suite
