@@ -1,8 +1,9 @@
 """Linear spans of forests, the cut coproduct and its variants, the antipode.
 
-Elements are finite combinations of ordered forests with exact coefficients;
-tensors are combinations of forest pairs.  The coproduct of a forest sums,
-over its admissible cuts, the extracted sub-forest tensor the remainder.
+Elements are finite combinations of ordered forests with exact coefficients,
+made exact where a caller's scalars come in and added up by one accumulator
+(``_sum``); tensors are combinations of forest pairs.  The coproduct of a
+forest sums, over its admissible cuts, the extracted sub-forest tensor the remainder.
 Variants restrict which cuts contribute:
 
 * ``full``      all cuts,
@@ -17,9 +18,9 @@ coproduct is multiplicative, so a word folds over its memoised prefix
 p = b1·…·b(k−1): an unreduced variant v is Δ_v(p)·Δ(bk) for ``full`` and
 ``leftRoot`` and Δ(p)·Δ_v(bk) for the rest.  On one block the cuts that extract
 the rightmost leaf are those that do not keep it: leafExtracted = full − leafKept.
-A reduced variant is its unreduced companion less f⊗() and ()⊗f.  The antipode
-reverses products, S(a·b) = S(b)·S(a): only a single block has its cuts
-enumerated or recurses over its full coproduct.
+A reduced variant is its unreduced companion less f⊗() and ()⊗f, its only
+terms with an empty leg.  The antipode reverses products, S(a·b) = S(b)·S(a):
+only a single block has its cuts enumerated or recurses over its full coproduct.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from itertools import chain
 from math import gcd
 from operator import mul
 
-from .families import b_minus, b_plus, generate_words
+from .families import _words_over, b_minus, b_plus
 from .forest import (
     EMPTY_FOREST,
     OrderedForest,
@@ -60,32 +61,34 @@ __all__ = [
 ]
 
 
-def _clean(terms: dict) -> dict:
-    """Drop zero terms; keep ``int`` coefficients, make any other scalar an
-    exact ``Fraction``."""
-    return {k: v for k, c in terms.items() if (v := c if type(c) is int else Fraction(c))}
-
-
 def _sum(pairs) -> dict:
-    """Add (key, coefficient) pairs by key; zero sums stay for ``_clean``."""
+    """Add (key, coefficient) pairs by key and drop the sums that cancel."""
     out: dict = {}
     for key, c in pairs:
         out[key] = out.get(key, 0) + c
-    return out
+    return out if all(out.values()) else {key: c for key, c in out.items() if c}
 
 
 class _Combination:
     """A finite combination of hashable keys with exact coefficients: plain
     ``int``s, and exact rationals only where a caller scales by a non-integer.
-
-    Subclasses say how two keys multiply (``_times``), where a term sorts
-    (``_order``) and how a term prints (``_show``).
+    Only the constructor converts scalars (an ``int`` stays one, any other
+    becomes its exact ``Fraction``); ``_summed`` adds up terms already exact.
+    Subclasses say how keys multiply (``_times``), sort (``_order``) and print (``_show``).
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict | None = None):
-        self.terms: dict = _clean(terms or {})
+        terms = (terms or {}).items()
+        self.terms: dict = _sum((key, c if type(c) is int else Fraction(c)) for key, c in terms)
+
+    @classmethod
+    def _summed(cls, pairs):
+        """The sum of (key, coefficient) pairs whose coefficients are exact."""
+        x = object.__new__(cls)
+        x.terms = _sum(pairs)
+        return x
 
     @classmethod
     def zero(cls):
@@ -98,10 +101,10 @@ class _Combination:
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return type(self)(_sum(chain(self.terms.items(), other.terms.items())))
+        return self._summed(chain(self.terms.items(), other.terms.items()))
 
     def __neg__(self):
-        return type(self)({key: -c for key, c in self.terms.items()})
+        return self._summed((key, -c) for key, c in self.terms.items())
 
     def __sub__(self, other):
         return self + (-other)
@@ -113,8 +116,7 @@ class _Combination:
             return NotImplemented
         return type(self)({key: c * other for key, c in self.terms.items()})
 
-    def __rmul__(self, scalar):
-        return self * scalar
+    __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         return isinstance(other, type(self)) and self.terms == other.terms
@@ -133,22 +135,15 @@ class _Combination:
 
 def _bilinear(op, x: _Combination, y: _Combination) -> _Combination:
     """Extend an operation on keys bilinearly; keys it maps to None drop."""
-    out: dict = {}
-    for key, c in x.terms.items():
-        for key2, d in y.terms.items():
-            prod = op(key, key2)
-            if prod is not None:
-                out[prod] = out.get(prod, 0) + c * d
-    return type(x)(out)
+    terms = y.terms.items()
+    return x._summed(
+        (p, c * d) for k, c in x.terms.items() for k2, d in terms if (p := op(k, k2)) is not None
+    )
 
 
 def _linear(op, x: _Combination, cls) -> _Combination:
     """Extend a map from keys to combinations of type ``cls`` linearly."""
-    out: dict = {}
-    for k, c in x.terms.items():
-        for key, d in op(k).terms.items():
-            out[key] = out.get(key, 0) + c * d
-    return cls(out)
+    return cls._summed((key, c * d) for k, c in x.terms.items() for key, d in op(k).terms.items())
 
 
 class AlgebraElement(_Combination):
@@ -201,9 +196,9 @@ class Tensor2Element(_Combination):
 
     def map_legs(self, left=None, right=None) -> "Tensor2Element":
         """Apply forest-to-forest maps to the legs of every term."""
-        terms = self.terms.items()
-        return Tensor2Element(
-            _sum(((left(a) if left else a, right(b) if right else b), c) for (a, b), c in terms)
+        return self._summed(
+            ((left(a) if left else a, right(b) if right else b), c)
+            for (a, b), c in self.terms.items()
         )
 
 
@@ -211,7 +206,7 @@ def as_element(x) -> AlgebraElement:
     if isinstance(x, AlgebraElement):
         return x
     if isinstance(x, OrderedForest):
-        return AlgebraElement.of(x)
+        return AlgebraElement._summed(((x, 1),))
     raise TypeError("expected a forest or an algebra element, got %r" % type(x))
 
 
@@ -255,10 +250,8 @@ _REDUCED = {"reduced": "full", "precRed": "leafExtracted", "succRed": "leafKept"
 @lru_cache(maxsize=None)
 def _forest_coproduct(forest: OrderedForest, variant: str) -> Tensor2Element:
     if variant in _REDUCED:  # less f⊗() and ()⊗f, the terms of the total and the empty cut
-        terms = dict(_forest_coproduct(forest, _REDUCED[variant]).terms)
-        terms.pop((forest, EMPTY_FOREST), None)
-        terms.pop((EMPTY_FOREST, forest), None)
-        return Tensor2Element(terms)
+        terms = _forest_coproduct(forest, _REDUCED[variant]).terms.items()
+        return Tensor2Element._summed(((a, b), c) for (a, b), c in terms if a.trees and b.trees)
     factors = blocks(forest)
     if len(factors) > 1:  # Δ(b1·…·bk) = Δ(b1·…·b(k−1))·Δ(bk), the condition on an end block
         _check_cut_budget(forest)  # the cuts of the whole forest, as for a single block
@@ -273,7 +266,7 @@ def _forest_coproduct(forest: OrderedForest, variant: str) -> Tensor2Element:
     # each condition on a single block: the cut avoids these vertices
     avoid = {"full": (), "leftRoot": roots[:1], "rightRoot": roots[-1:], "leafKept": path}[variant]
     cuts = (c for c in admissible_cuts(forest) if c.isdisjoint(avoid))
-    return Tensor2Element(_sum((cut_split(forest, c), 1) for c in cuts))
+    return Tensor2Element._summed((cut_split(forest, c), 1) for c in cuts)
 
 
 def coproduct(x, variant: str = "full") -> Tensor2Element:
@@ -297,12 +290,10 @@ def expand_right(t2: Tensor2Element, variant: str = "full") -> dict:
 
 def _expand(t2: Tensor2Element, variant: str, side: str) -> dict:
     variant = _normalize_variant(variant)
-    return _clean(
-        _sum(
-            ((x, y, b) if side == "left" else (a, x, y), c * d)
-            for (a, b), c in t2.terms.items()
-            for (x, y), d in _forest_coproduct(a if side == "left" else b, variant).terms.items()
-        )
+    return _sum(
+        ((x, y, b) if side == "left" else (a, x, y), c * d)
+        for (a, b), c in t2.terms.items()
+        for (x, y), d in _forest_coproduct(a if side == "left" else b, variant).terms.items()
     )
 
 
@@ -333,13 +324,12 @@ def _antipode_forest(forest: OrderedForest) -> AlgebraElement:
     factors = blocks(forest)
     if len(factors) > 1:  # S(b1·…·bk) = S(bk)·…·S(b1)
         return reduce(mul, map(_antipode_forest, reversed(factors)))
-    out: dict = {}  # from m(S⊗id)Δ(f) = 0
-    for (lea, roo), c in _forest_coproduct(forest, "full").terms.items():
-        if not roo.is_empty:  # only the total cut leaves nothing
-            for g, d in _antipode_forest(lea).terms.items():
-                key = concat(g, roo)
-                out[key] = out.get(key, 0) - c * d
-    return AlgebraElement(out)
+    return AlgebraElement._summed(  # from m(S⊗id)Δ(f) = 0
+        (concat(g, roo), -c * d)
+        for (lea, roo), c in _forest_coproduct(forest, "full").terms.items()
+        if not roo.is_empty  # only the total cut leaves nothing
+        for g, d in _antipode_forest(lea).terms.items()
+    )
 
 
 def prim_tot_dimension(n: int, max_degree: int = DEFAULT_ANTIPODE_DEGREE) -> int:
@@ -352,7 +342,7 @@ def prim_tot_dimension(n: int, max_degree: int = DEFAULT_ANTIPODE_DEGREE) -> int
             "prim_tot_dimension guarded to degree <= %d (got %d); pass max_degree to raise"
             % (max_degree, n)
         )
-    basis = sorted(generate_words("T", n), key=lambda f: f.text)
+    basis = sorted(_words_over("T", n), key=lambda f: f.text)
 
     def terms(f):  # the precRed and succRed terms of f, each pair tagged by its side
         return (((tag, a, b), c) for tag, v in enumerate(("leafExtracted", "leafKept"))

@@ -25,9 +25,9 @@ from .algebra import (
 )
 from .families import (
     ENUMERATION_MAX_DEGREE,
+    _words_over,
     count_indexings,
     generate_set,
-    generate_words,
     ladders,
     membership,
     oracle_count_indexings,
@@ -83,7 +83,7 @@ def _row(label: str, failures: list, passed: str, failed: str = "%s", cases=None
 def _words(selector: str, max_total: int) -> list[OrderedForest]:
     out = []
     for k in range(1, max_total + 1):
-        out.extend(sorted(generate_words(selector, k), key=lambda f: f.text))
+        out.extend(sorted(_words_over(selector, k), key=lambda f: f.text))
     return out
 
 

@@ -59,13 +59,11 @@ class OrderedTree(NamedTuple):
             t = stack.pop()
             if isinstance(t, str):
                 out.append(t)
-            elif t.children:
-                out.append("%d[" % t.label)
-                stack.append("]")
-                for k, c in enumerate(reversed(t.children)):
-                    stack.extend((" ", c) if k else (c,))
             else:
-                out.append(str(t.label))
+                out.append(str(getattr(t, "label", 0)))
+                if t.children:  # "[", the children spaced apart and "]", pushed in reverse
+                    stack += ["]", *(x for c in reversed(t.children) for x in (c, " "))]
+                    stack[-1] = "["
         return "".join(out)
 
 
@@ -168,10 +166,7 @@ class PlaneTree(NamedTuple):
     def degree(self) -> int:
         return _size(self)
 
-    def __str__(self) -> str:
-        if not self.children:
-            return "0"
-        return "0[%s]" % " ".join(str(c) for c in self.children)
+    __str__ = OrderedTree.__str__  # one printer; a vertex without a label prints as 0
 
 
 EMPTY_FOREST = OrderedForest(())
@@ -279,12 +274,18 @@ def parse_plane_tree(text: str) -> PlaneTree:
 
 
 def shape_of(forest: OrderedForest) -> tuple[PlaneTree, ...]:
-    """Forget the labels."""
-
-    def go(t: OrderedTree) -> PlaneTree:
-        return PlaneTree(tuple(go(c) for c in t.children))
-
-    return tuple(go(t) for t in forest.trees)
+    """Forget the labels, with an explicit stack: a vertex comes off it again
+    once its children's shapes are built, and takes them off the end of ``done``."""
+    done: list[PlaneTree] = []
+    stack = [(t, False) for t in reversed(forest.trees)]
+    while stack:
+        t, ready = stack.pop()
+        if ready:
+            n = len(done) - len(t.children)
+            done[n:] = [PlaneTree(tuple(done[n:]))]
+        else:
+            stack += [(t, True), *((c, False) for c in reversed(t.children))]
+    return tuple(done)
 
 
 def _relabel(t: OrderedTree, remap) -> OrderedTree:

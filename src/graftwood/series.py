@@ -13,7 +13,7 @@ import re
 from typing import Callable, NamedTuple, Sequence
 
 from .algebra import DEFAULT_ANTIPODE_DEGREE, prim_tot_dimension
-from .families import ENUMERATION_MAX_DEGREE, generate_set, generate_words
+from .families import ENUMERATION_MAX_DEGREE, _words_over, generate_set
 
 __all__ = [
     "MAX_SERIES_DEGREE",
@@ -94,20 +94,10 @@ def _wrap_trees(n_max: int) -> tuple[int, ...]:
 def _layered_trees(i: int, n_max: int) -> tuple[int, ...]:
     """Single-tree counts of the i-th layered family: the unrestricted tree
     count minus the overhanging word corrections."""
-    binf = _binfty_trees(n_max)
-    cat = _catalan(n_max)
-    trees = [0] * (n_max + 1)
-    for k in range(1, n_max + 1):
-        base = binf[k]
-        if k > i + 1:
-            base -= sum(cat[j] * binf[k - j] for j in range(1, k - i))
-        trees[k] = base
-    return tuple(trees)
-
-
-def _binfty_trees(n_max: int) -> tuple[int, ...]:
-    f, _ = _length_triangle(max(n_max, 1))
-    return tuple(f[n][1] if 1 <= n <= n_max else 0 for n in range(n_max + 1))
+    binf, cat = _length_column(1, n_max), _catalan(n_max)
+    return (0,) + tuple(  # no correction up to degree i + 1, where the sum is empty
+        binf[k] - sum(cat[j] * binf[k - j] for j in range(1, k - i)) for k in range(1, n_max + 1)
+    )
 
 
 def _length_column(k: int, n_max: int) -> list[int]:
@@ -143,7 +133,10 @@ _SERIES = {
         ENUMERATION_MAX_DEGREE,
     ),
     "Binfty_trees": _Series(
-        "", lambda _, n: _binfty_trees(n), lambda _, n: _tree_count("G", n), ENUMERATION_MAX_DEGREE
+        "",
+        lambda _, n: _length_column(1, n),
+        lambda _, n: _tree_count("G", n),
+        ENUMERATION_MAX_DEGREE,
     ),
     "Binfty_length": _Series(
         "(k)",
@@ -169,14 +162,14 @@ _SERIES = {
     "Bi_forests": _Series(
         "(i)",
         lambda i, n: _compose_words(_layered_trees(i, n), n),
-        lambda i, n: len(generate_words("G%d" % i, n)),
+        lambda i, n: len(_words_over("G%d" % i, n)),
         ENUMERATION_MAX_DEGREE,
     ),
     "B_trees": _Series("", lambda _, n: _wrap_trees(n), lambda _, n: len(generate_set("T", n)), 7),
     "B_forests": _Series(
         "",
         lambda _, n: _compose_words(_wrap_trees(n), n),
-        lambda _, n: len(generate_words("T", n)),
+        lambda _, n: len(_words_over("T", n)),
         7,
     ),
     "D_dims": _Series("", _d_dims, lambda _, n: prim_tot_dimension(n), DEFAULT_ANTIPODE_DEGREE),

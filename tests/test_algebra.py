@@ -170,6 +170,83 @@ def test_linear_maps_scale_fraction_coefficients():
     assert antipode(x) == antipode(f) * Fraction(1, 3) + antipode(g) * -2
 
 
+def _scaled(cls, s, *terms):
+    """A combination of the given texts, each coefficient times ``s``."""
+    if cls is AlgebraElement:
+        return cls({P(text): s * c for text, c in terms})
+    return cls({(P(a), P(b)): s * c for a, b, c in terms})
+
+
+def _by_text(terms: dict) -> dict:
+    return {
+        k.text if isinstance(k, OrderedForest) else tuple(f.text for f in k): c
+        for k, c in terms.items()
+    }
+
+
+# Each linear map on inputs scaled by s, where the sum of one key cancels
+# (named in the comment), and what remains, in units of s.
+_ONE_TERM_CANCELS = {
+    "add": (  # 1
+        lambda s: _scaled(AlgebraElement, s, ("1", 1), ("1 2", 1))
+        + _scaled(AlgebraElement, s, ("1", -1)),
+        {"1 2": 1},
+    ),
+    "sub": (  # 1
+        lambda s: _scaled(AlgebraElement, s, ("1", 1), ("1 2", 1))
+        - _scaled(AlgebraElement, s, ("1", 1)),
+        {"1 2": 1},
+    ),
+    "product": (  # 1·(1 2) = (1 2)·1 = 1 2 3
+        lambda s: _scaled(AlgebraElement, s, ("1", 1), ("1 2", 1))
+        * _scaled(AlgebraElement, 1, ("1 2", 1), ("1", -1)),
+        {"1 2": -1, "1 2 3 4": 1},
+    ),
+    "coproduct": (  # 1⊗1, twice in Δ(1 2) and once in Δ(1[2])
+        lambda s: coproduct(_scaled(AlgebraElement, s, ("1 2", 1), ("1[2]", -2))),
+        {("1 2", "()"): 1, ("()", "1 2"): 1, ("1[2]", "()"): -2, ("()", "1[2]"): -2},
+    ),
+    "map_legs": (  # 1⊗1, from 1⊗1 and 1⊗(1 2)
+        lambda s: _scaled(
+            Tensor2Element, s, ("1", "1", 1), ("1", "1 2", -1), ("1 2", "1", 1)
+        ).map_legs(right=lambda b: P("1")),
+        {("1 2", "1"): 1},
+    ),
+    "expand_left": (  # 1⊗1⊗1
+        lambda s: expand_left(_scaled(Tensor2Element, s, ("1 2", "1", 1), ("1[2]", "1", -2))),
+        {
+            ("1 2", "()", "1"): 1,
+            ("()", "1 2", "1"): 1,
+            ("1[2]", "()", "1"): -2,
+            ("()", "1[2]", "1"): -2,
+        },
+    ),
+    "expand_right": (  # 1⊗1⊗1
+        lambda s: expand_right(_scaled(Tensor2Element, s, ("1", "1 2", 1), ("1", "1[2]", -2))),
+        {
+            ("1", "1 2", "()"): 1,
+            ("1", "()", "1 2"): 1,
+            ("1", "1[2]", "()"): -2,
+            ("1", "()", "1[2]"): -2,
+        },
+    ),
+    "antipode": (  # 1 2, as S(1 2) = 1 2 and S(1[2]) = 1 2 - 1[2]
+        lambda s: antipode(_scaled(AlgebraElement, s, ("1 2", 1), ("1[2]", -1))),
+        {"1[2]": 1},
+    ),
+}
+
+
+@pytest.mark.parametrize("scale", [3, Fraction(1, 3)], ids=["int", "Fraction"])
+@pytest.mark.parametrize("name", list(_ONE_TERM_CANCELS))
+def test_linear_maps_drop_cancelled_sums_and_keep_coefficients_exact(name, scale):
+    compute, remains = _ONE_TERM_CANCELS[name]
+    result = compute(scale)
+    terms = result if isinstance(result, dict) else result.terms
+    assert _by_text(terms) == {key: scale * c for key, c in remains.items()}
+    assert all(type(c) is type(scale) for c in terms.values()), terms
+
+
 ANTIPODE_REPRS = {
     "()": "1*()",
     "1": "-1*1",

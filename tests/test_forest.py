@@ -185,6 +185,15 @@ def test_text_and_degree_of_a_deep_chain_walk_with_an_explicit_stack():
     assert shape.degree == 5000
 
 
+def test_shapes_print_and_peel_with_an_explicit_stack():
+    # a walk nested per level would exceed the recursion limit here
+    (shape,) = shape_of(OrderedForest((ladders(600)["+" * 600],)))
+    assert str(shape) == "0[" * 599 + "0" + "]" * 599
+    assert shape.degree == 600
+    shapes = shape_of(parse_forest("2[4[1] 3] 5 6[8 7[9]]"))
+    assert [str(s) for s in shapes] == ["0[0[0] 0]", "0", "0[0 0[0]]"]
+
+
 def test_degree_and_flags():
     f = parse_forest("2[4[1] 3]")
     assert f.degree == 4 and f.is_tree and not f.is_empty
