@@ -36,6 +36,7 @@ from .forest import (
     EMPTY_FOREST,
     OrderedForest,
     _check_cut_budget,
+    _check_degree,
     admissible_cuts,
     blocks,
     concat,
@@ -309,11 +310,7 @@ def antipode(x, max_degree: int = DEFAULT_ANTIPODE_DEGREE) -> AlgebraElement:
     """
     x = as_element(x)
     for f in x.terms:
-        if f.degree > max_degree:
-            raise ValueError(
-                "antipode guarded to degree <= %d (got %d); pass max_degree to raise"
-                % (max_degree, f.degree)
-            )
+        _check_degree("antipode (max_degree raises the bound)", f.degree, max_degree, low=0)
     return _linear(_antipode_forest, x, AlgebraElement)
 
 
@@ -335,13 +332,7 @@ def _antipode_forest(forest: OrderedForest) -> AlgebraElement:
 def prim_tot_dimension(n: int, max_degree: int = DEFAULT_ANTIPODE_DEGREE) -> int:
     """Dimension of the joint kernel of the two one-sided reduced coproducts
     on the degree-n span of the word basis."""
-    if n < 1:
-        raise ValueError("degree must be positive")
-    if n > max_degree:
-        raise ValueError(
-            "prim_tot_dimension guarded to degree <= %d (got %d); pass max_degree to raise"
-            % (max_degree, n)
-        )
+    _check_degree("prim_tot_dimension (max_degree raises the bound)", n, max_degree)
     basis = sorted(_words_over("T", n), key=lambda f: f.text)
 
     def terms(f):  # the precRed and succRed terms of f, each pair tagged by its side

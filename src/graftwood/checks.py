@@ -3,13 +3,11 @@ and reports one row per property.
 
 A suite never raises on a mathematical failure; violations land in the row
 details so the caller can print them and exit nonzero.  Degrees default to
-the documented desk-scale bounds and can be lowered (or raised, within the
-library guards) with ``max_degree`` or the GRAFTWOOD_MAX_DEGREE variable.
+the documented desk-scale bounds and can be lowered (or raised, up to each
+suite's cap) with ``max_degree``.
 """
 
 from __future__ import annotations
-
-import os
 
 from .algebra import (
     DEFAULT_ANTIPODE_DEGREE,
@@ -33,37 +31,22 @@ from .families import (
     oracle_count_indexings,
     signature_of,
 )
-from .forest import EMPTY_FOREST, OrderedForest, rightmost_path, shape_of
+from .forest import EMPTY_FOREST, OrderedForest, _check_degree, rightmost_path, shape_of
 from .grafts import _IDENTITIES, check_identity, generate_closure
 from .series import _ceiling, series_coefficients, verify_against_enumeration
 
-__all__ = ["SUITES", "DEGREE_ENV_VAR", "resolve_degree", "run_suite"]
-
-DEGREE_ENV_VAR = "GRAFTWOOD_MAX_DEGREE"
+__all__ = ["SUITES", "resolve_degree", "run_suite"]
 
 
 def resolve_degree(suite: str, max_degree: int | None = None) -> int:
-    """Effective bound for a suite: explicit argument, then the environment
-    override, then the per-suite default.  A bound above a capped suite's
-    cap raises ValueError."""
+    """Effective bound for a suite: the argument, else the suite's default.
+    A bound outside 1..the suite's cap raises ValueError."""
     if suite not in _SUITES:
         raise ValueError("unknown suite %r (expected one of: %s)" % (suite, ", ".join(SUITES)))
-    if max_degree is None:
-        raw = os.environ.get(DEGREE_ENV_VAR)
-        if raw is not None:
-            try:
-                max_degree = int(raw)
-            except ValueError:
-                raise ValueError("%s must be an integer, got %r" % (DEGREE_ENV_VAR, raw))
-    default, _, capped = _SUITES[suite]
+    default, _, cap = _SUITES[suite]
     if max_degree is None:
         return default
-    if max_degree < 1:
-        raise ValueError("max degree must be positive")
-    if capped and max_degree > default:
-        raise ValueError(
-            "suite %s checks degrees up to its cap of %d, got %d" % (suite, default, max_degree)
-        )
+    _check_degree("suite " + suite, max_degree, cap)
     return max_degree
 
 
@@ -101,7 +84,8 @@ def _universe(arity: int, max_total: int) -> list[tuple[OrderedForest, ...]]:
 
 def _sweep(*names):
     """A suite of identity rows, one per name, each identity checked on every
-    tuple of its arity (read from the identity table)."""
+    tuple of its arity (read from the identity table); returned with its cap,
+    the highest degree whose universes need no T word past the enumeration."""
 
     def run(n: int) -> list[dict]:
         rows = []
@@ -117,7 +101,7 @@ def _sweep(*names):
             rows.append(_row(name, failures, passed, failed, len(cases)))
         return rows
 
-    return run
+    return run, ENUMERATION_MAX_DEGREE + min(_IDENTITIES[name][0] for name in names) - 1
 
 
 def _leaks(basis, keeps, variant: str = "full") -> list[str]:
@@ -321,24 +305,24 @@ def _suite_closure(n: int) -> list[dict]:
     return rows
 
 
-# Each suite by name: its default degree, its runner, and whether that degree
-# is also its cap, the highest degree its rows check (the sweeps have none).
+# Each suite by name: its default degree, its runner, and its cap, the highest
+# degree it accepts.  ``_sweep`` works out a sweep's cap; the rows of every
+# other suite stop at its default, so that is its cap.
 _SUITES = {
-    "hopf": (6, _suite_hopf, True),
-    "duplicial": (6, _sweep("E1a", "E1b", "E1c"), False),
+    "hopf": (6, _suite_hopf, 6),
+    "duplicial": (6, *_sweep("E1a", "E1b", "E1c")),
     "dendriform": (
         5,
-        _sweep(
+        *_sweep(
             "E2a", "E2b", "E2c", "E3prec", "E3succ", "E4prec", "E4succ", "DELTASUCC", "DELTAPREC"
         ),
-        False,
     ),
-    "leftgraft": (6, _sweep("LGa", "LGb"), False),
-    "rightgraft": (6, _sweep("RGa", "RGb"), False),
-    "bigraft": (6, _sweep("BIGRAFT"), False),
-    "counts": (ENUMERATION_MAX_DEGREE, _suite_counts, True),
-    "primtot": (_ceiling("D_dims"), _suite_primtot, True),
-    "closure": (6, _suite_closure, True),
+    "leftgraft": (6, *_sweep("LGa", "LGb")),
+    "rightgraft": (6, *_sweep("RGa", "RGb")),
+    "bigraft": (6, *_sweep("BIGRAFT")),
+    "counts": (ENUMERATION_MAX_DEGREE, _suite_counts, ENUMERATION_MAX_DEGREE),
+    "primtot": (_ceiling("D_dims"), _suite_primtot, _ceiling("D_dims")),
+    "closure": (6, _suite_closure, 6),
 }
 
 SUITES = tuple(_SUITES)

@@ -41,6 +41,7 @@ from .forest import (
     OrderedTree,
     PlaneTree,
     SINGLE_VERTEX,
+    _check_degree,
     _hang,
     _leaf,
     concat,
@@ -160,10 +161,7 @@ def generate_set(
     signature set and is rejected for every other selector.
     """
     kind, i = _parse_selector(selector)
-    if not 1 <= n <= ENUMERATION_MAX_DEGREE:
-        raise ValueError(
-            "degree must be in 1..%d for %s, got %d" % (ENUMERATION_MAX_DEGREE, selector, n)
-        )
+    _check_degree("set " + selector, n, ENUMERATION_MAX_DEGREE)
     if signature is not None:
         if kind != "G":
             raise ValueError("a signature can only narrow the G selector")
@@ -208,6 +206,7 @@ def _tree_layer(kind: str, n: int) -> frozenset[OrderedForest]:
 def generate_words(selector: str, n: int) -> frozenset[OrderedForest]:
     """All degree-n words (block concatenations) over a family's trees: a
     fresh set per call over the memoised layer."""
+    _check_degree("words over " + selector, n, ENUMERATION_MAX_DEGREE, low=0)
     return frozenset(_words_over(selector, n))
 
 
@@ -370,8 +369,7 @@ def oracle_count_indexings(shape: PlaneTree, family: str = "G") -> int:
     Guarded to degree <= 8.
     """
     n = shape.degree
-    if n > ENUMERATION_MAX_DEGREE:
-        raise ValueError("oracle is limited to degree <= %d" % ENUMERATION_MAX_DEGREE)
+    _check_degree("oracle", n, ENUMERATION_MAX_DEGREE)
     kind, i = _parse_selector(family)
     return _count(kind, i, (shape,), n, False)
 

@@ -385,6 +385,12 @@ def _check_cut_budget(forest: OrderedForest) -> None:
         raise ValueError("%d admissible cuts exceed the budget of %d" % (total, _MAX_CUTS))
 
 
+def _check_degree(what: str, n: int, top: int, low: int = 1) -> None:
+    """Refuse a degree outside low..top: the one degree bound of every entry."""
+    if not low <= n <= top:
+        raise ValueError("%s takes degrees %d..%d, got %d" % (what, low, top, n))
+
+
 def admissible_cuts(forest: OrderedForest) -> tuple[AdmissibleCut, ...]:
     """All antichains of the ancestry order, as label sets.
 

@@ -27,6 +27,7 @@ from .forest import (
     EMPTY_FOREST,
     OrderedForest,
     SINGLE_VERTEX,
+    _check_degree,
     concat,
     lgraft_basis,
     nwarrow,
@@ -260,6 +261,5 @@ def generate_closure(ops: Iterable[str], max_degree: int) -> frozenset[OrderedFo
         _basis_op(name)
     if not names:
         raise ValueError("need at least one operation")
-    if not 1 <= max_degree <= CLOSURE_MAX_DEGREE:
-        raise ValueError("closure degree must be in 1..%d" % CLOSURE_MAX_DEGREE)
+    _check_degree("closure", max_degree, CLOSURE_MAX_DEGREE)
     return frozenset().union(*(_closure_layer(names, d) for d in range(1, max_degree + 1)))

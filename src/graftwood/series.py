@@ -14,6 +14,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from .algebra import DEFAULT_ANTIPODE_DEGREE, prim_tot_dimension
 from .families import ENUMERATION_MAX_DEGREE, _words_over, generate_set
+from .forest import _check_degree
 
 __all__ = [
     "MAX_SERIES_DEGREE",
@@ -119,7 +120,7 @@ class _Series(NamedTuple):
     param: str  # placeholder of a parametrized id, "" for a plain table
     values: Callable  # (param, n_max) -> coefficients indexed by degree
     enumerated: Callable  # (param, n) -> size of the generated degree-n set
-    ceiling: int  # highest degree the enumeration is available for
+    ceiling: int = ENUMERATION_MAX_DEGREE  # highest degree the enumeration reaches
 
 
 # Each table by name, in the order of SERIES_IDS.  Each ceiling is the guard of
@@ -127,43 +128,23 @@ class _Series(NamedTuple):
 # runs under), except the 7 of B_trees and B_forests: a time budget.
 _SERIES = {
     "Binfty_forests": _Series(
-        "",
-        lambda _, n: _length_triangle(n)[1],
-        lambda _, n: len(generate_set("G", n)),
-        ENUMERATION_MAX_DEGREE,
+        "", lambda _, n: _length_triangle(n)[1], lambda _, n: len(generate_set("G", n))
     ),
     "Binfty_trees": _Series(
-        "",
-        lambda _, n: _length_column(1, n),
-        lambda _, n: _tree_count("G", n),
-        ENUMERATION_MAX_DEGREE,
+        "", lambda _, n: _length_column(1, n), lambda _, n: _tree_count("G", n)
     ),
     "Binfty_length": _Series(
         "(k)",
         _length_column,
         lambda k, n: sum(1 for f in generate_set("G", n) if len(f.trees) == k),
-        ENUMERATION_MAX_DEGREE,
     ),
-    "B0_trees": _Series(
-        "",
-        lambda _, n: [0] + _catalan(n)[:n],
-        lambda _, n: _tree_count("G0", n),
-        ENUMERATION_MAX_DEGREE,
-    ),
-    "B0_forests": _Series(
-        "",
-        lambda _, n: _catalan(n),
-        lambda _, n: len(generate_set("G0", n)),
-        ENUMERATION_MAX_DEGREE,
-    ),
-    "Bi_trees": _Series(
-        "(i)", _layered_trees, lambda i, n: _tree_count("G%d" % i, n), ENUMERATION_MAX_DEGREE
-    ),
+    "B0_trees": _Series("", lambda _, n: [0] + _catalan(n)[:n], lambda _, n: _tree_count("G0", n)),
+    "B0_forests": _Series("", lambda _, n: _catalan(n), lambda _, n: len(generate_set("G0", n))),
+    "Bi_trees": _Series("(i)", _layered_trees, lambda i, n: _tree_count("G%d" % i, n)),
     "Bi_forests": _Series(
         "(i)",
         lambda i, n: _compose_words(_layered_trees(i, n), n),
         lambda i, n: len(_words_over("G%d" % i, n)),
-        ENUMERATION_MAX_DEGREE,
     ),
     "B_trees": _Series("", lambda _, n: _wrap_trees(n), lambda _, n: len(generate_set("T", n)), 7),
     "B_forests": _Series(
@@ -187,9 +168,8 @@ def _ceiling(series_id: str) -> int:
 
 def series_coefficients(series_id: str, n_max: int) -> dict[int, int]:
     """Exact coefficients of one counting series for degrees 1..n_max."""
-    if not 1 <= n_max <= MAX_SERIES_DEGREE:
-        raise ValueError("max degree must be between 1 and %d" % MAX_SERIES_DEGREE)
     name, param = parse_series_id(series_id)
+    _check_degree("table " + series_id, n_max, MAX_SERIES_DEGREE)
     values = _SERIES[name].values(param, n_max)
     return {n: int(values[n]) for n in range(1, n_max + 1)}
 
@@ -199,10 +179,7 @@ def verify_against_enumeration(series_id: str, n_max: int) -> dict:
     degree.  Mismatches land in the report rows, never in an exception."""
     name, param = parse_series_id(series_id)
     series = _SERIES[name]
-    if not 1 <= n_max <= series.ceiling:
-        raise ValueError(
-            "enumeration for %s is only available up to degree %d" % (series_id, series.ceiling)
-        )
+    _check_degree("enumeration of " + series_id, n_max, series.ceiling)
     table = series_coefficients(series_id, n_max)
     rows = []
     for n in range(1, n_max + 1):

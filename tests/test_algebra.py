@@ -1,6 +1,7 @@
 """Span arithmetic, the cut coproduct and variants, antipode, primitives."""
 
 import copy
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -29,11 +30,14 @@ from graftwood.families import generate_set, generate_words, is_basis_forest
 from graftwood.forest import (
     EMPTY_FOREST,
     OrderedForest,
+    OrderedTree,
     admissible_cuts,
     blocks,
+    concat,
     cut_split,
     parse_forest,
     rightmost_path,
+    standardize,
 )
 
 P = parse_forest
@@ -662,6 +666,41 @@ def test_antipode_degree_guard():
     with pytest.raises(ValueError):
         antipode(big)
     assert not antipode(big, max_degree=6).is_zero
+
+
+def _forest_formula(word):
+    """The cancellation-free antipode of a word: the sum, over every set C of
+    its edges, of (-1)^(pieces) times the pieces left after deleting C, each
+    standardised, concatenated in reverse preorder of their roots.  Built on
+    edge deletion, ``standardize`` and ``concat`` only."""
+    vertices, stack = [], list(reversed(word.trees))  # every vertex, in preorder
+    while stack:
+        vertices.append(stack.pop())
+        stack += reversed(vertices[-1].children)
+    below = [c.label for t in vertices for c in t.children]  # an edge by its lower end
+    out = {}
+    for picks in itertools.product((False, True), repeat=len(below)):
+        cut = {v for v, picked in zip(below, picks) if picked}
+
+        def piece(t):
+            return OrderedTree(t.label, tuple(piece(c) for c in t.children if c.label not in cut))
+
+        roots = [t for t in vertices if t in word.trees or t.label in cut]
+        pieces = (standardize([piece(t)]) for t in reversed(roots))
+        term = functools.reduce(concat, pieces)
+        out[term] = out.get(term, 0) + (-1) ** len(roots)
+    return out
+
+
+def test_antipode_matches_the_forest_formula_on_t_words():
+    words = [f for n in range(1, 7) for f in generate_words("T", n)]
+    assert len(words) == 1160
+    for w in words:
+        formula = _forest_formula(w)
+        assert antipode(w, max_degree=6).terms == formula, w.text
+        # no two edge sets give the same term, so nothing cancels
+        edges = w.degree - len(w.trees)
+        assert sum(abs(c) for c in formula.values()) == 2**edges, w.text
 
 
 # --- primitives ------------------------------------------------------------------

@@ -4,7 +4,7 @@ and the pinned boundaries of the coproduct refinement."""
 import pytest
 
 from graftwood.algebra import coproduct
-from graftwood.checks import DEGREE_ENV_VAR, SUITES, resolve_degree, run_suite
+from graftwood.checks import SUITES, resolve_degree, run_suite
 from graftwood.families import membership
 from graftwood.forest import OrderedForest, parse_forest, standardize
 
@@ -50,38 +50,31 @@ def test_suites_listing():
 
 
 def test_resolve_degree_precedence(monkeypatch):
-    monkeypatch.delenv(DEGREE_ENV_VAR, raising=False)
     assert resolve_degree("hopf") == 6
     assert resolve_degree("dendriform") == 5
     assert resolve_degree("counts") == 8
-    monkeypatch.setenv(DEGREE_ENV_VAR, "3")
-    assert resolve_degree("hopf") == 3
     assert resolve_degree("hopf", 4) == 4
-    monkeypatch.setenv(DEGREE_ENV_VAR, "many")
-    with pytest.raises(ValueError):
-        resolve_degree("hopf")
+    # the argument is the only way to set the bound; no variable overrides it
+    monkeypatch.setenv("GRAFTWOOD_MAX_DEGREE", "3")
+    assert resolve_degree("hopf") == 6
 
 
-def test_resolve_degree_rejects(monkeypatch):
-    monkeypatch.delenv(DEGREE_ENV_VAR, raising=False)
+def test_resolve_degree_rejects():
     with pytest.raises(ValueError):
         resolve_degree("sideways")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^suite hopf takes degrees 1\.\.6, got 0$"):
         resolve_degree("hopf", 0)
 
 
-def test_resolve_degree_caps(monkeypatch):
-    monkeypatch.delenv(DEGREE_ENV_VAR, raising=False)
+def test_resolve_degree_caps():
     for suite, cap in (("hopf", 6), ("counts", 8), ("primtot", 5), ("closure", 6)):
         assert resolve_degree(suite) == resolve_degree(suite, cap) == cap
-        with pytest.raises(ValueError, match="cap of %d" % cap):
+        with pytest.raises(ValueError, match=r"^suite %s takes degrees 1\.\.%d, got %d$"
+                           % (suite, cap, cap + 1)):
             resolve_degree(suite, cap + 1)
-    # the sweeps have no cap; their universes grow with the bound
-    assert resolve_degree("bigraft", 9) == 9
-    monkeypatch.setenv(DEGREE_ENV_VAR, "6")
-    assert resolve_degree("hopf") == 6
-    with pytest.raises(ValueError, match="cap of 5"):
-        resolve_degree("primtot")
+    # a sweep's cap is where its universes would need T words past degree 8
+    assert resolve_degree("bigraft", 10) == 10
+    assert resolve_degree("dendriform", 8) == 8
 
 
 def test_run_suite_structure():
